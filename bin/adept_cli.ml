@@ -10,48 +10,80 @@
      trace      per-request causal traces, critical-path attribution
      monitor    continuous monitoring: scrapes, alert rules, model drift
      experiment run paper reproductions by id
-     bench-node measure this machine's MFlop/s (Linpack mini-benchmark)  *)
+     bench-node measure this machine's MFlop/s (Linpack mini-benchmark)
+
+   The planning subcommands build the same [Protocol] request records
+   [adept query] sends and execute them through [Render], the code the
+   server answers with, so batch and served output cannot drift. *)
 
 open Cmdliner
+module Proto = Adept_serve.Protocol
+module Render = Adept_serve.Render
 
 let exit_err msg =
   prerr_endline ("adept: " ^ msg);
   exit 1
 
+let or_exit = function Ok v -> v | Error e -> exit_err e
+
 (* Typed errors from the planning/replanning pipeline become exit
    diagnostics here, at the edge. *)
-let exit_error e = exit_err (Adept.Error.to_string e)
+let or_exit_typed r = or_exit (Result.map_error Adept.Error.to_string r)
 
-let params = Adept_model.Params.diet_lyon
+let read_file path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> Ok text
+  | exception Sys_error e -> Error e
 
-(* ---------- shared arguments ---------- *)
+let write_file path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
 
-let platform_file =
-  let doc = "Platform catalog file (see Catalog format in the README)." in
-  Arg.(value & opt (some string) None & info [ "platform" ] ~docv:"FILE" ~doc)
-
-let nodes_arg =
-  let doc = "Number of synthetic nodes when no catalog is given." in
-  Arg.(value & opt int 50 & info [ "nodes"; "n" ] ~docv:"N" ~doc)
-
-let power_arg =
-  let doc = "Node power in MFlop/s for synthetic platforms." in
-  Arg.(value & opt float 730.0 & info [ "power" ] ~docv:"MFLOPS" ~doc)
-
-let bandwidth_arg =
-  let doc = "Link bandwidth in Mbit/s for synthetic platforms." in
-  Arg.(value & opt float 1000.0 & info [ "bandwidth"; "B" ] ~docv:"MBITS" ~doc)
-
-let hetero_arg =
-  let doc =
-    "Heterogenise the synthetic platform with background load (the paper's \
-     Section 5.3 method)."
-  in
-  Arg.(value & flag & info [ "heterogeneous" ] ~doc)
+(* ---------- shared flag groups ---------- *)
 
 let seed_arg =
   let doc = "Random seed for platform generation and simulation." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+
+(* --platform FILE or the synthetic-generator flags, as a request's
+   platform spec.  A catalog file is read here and shipped inline, as
+   the server may run elsewhere.  --seed comes back as well: it also
+   seeds the simulations. *)
+let platform_term =
+  let file =
+    let doc = "Platform catalog file (see Catalog format in the README)." in
+    Arg.(value & opt (some string) None & info [ "platform" ] ~docv:"FILE" ~doc)
+  in
+  let nodes =
+    let doc = "Number of synthetic nodes when no catalog is given." in
+    Arg.(value & opt int 50 & info [ "nodes"; "n" ] ~docv:"N" ~doc)
+  in
+  let power =
+    let doc = "Node power in MFlop/s for synthetic platforms." in
+    Arg.(value & opt float 730.0 & info [ "power" ] ~docv:"MFLOPS" ~doc)
+  in
+  let bandwidth =
+    let doc = "Link bandwidth in Mbit/s for synthetic platforms." in
+    Arg.(value & opt float 1000.0 & info [ "bandwidth"; "B" ] ~docv:"MBITS" ~doc)
+  in
+  let heterogeneous =
+    let doc =
+      "Heterogenise the synthetic platform with background load (the paper's \
+       Section 5.3 method)."
+    in
+    Arg.(value & flag & info [ "heterogeneous" ] ~doc)
+  in
+  let make file nodes power bandwidth heterogeneous seed =
+    let spec =
+      match file with
+      | None -> Proto.Synthetic { nodes; power; bandwidth; heterogeneous; seed }
+      | Some path -> (
+          match read_file path with
+          | Ok text -> Proto.Catalog text
+          | Error e -> exit_err ("cannot load platform: " ^ e))
+    in
+    (spec, seed)
+  in
+  Term.(const make $ file $ nodes $ power $ bandwidth $ heterogeneous $ seed_arg)
 
 let dgemm_arg =
   let doc = "DGEMM matrix order defining the workload." in
@@ -61,316 +93,45 @@ let demand_arg =
   let doc = "Client demand in requests/s (default: unbounded)." in
   Arg.(value & opt (some float) None & info [ "demand" ] ~docv:"REQS" ~doc)
 
-let strategy_arg =
-  let doc =
-    "Planning strategy: heuristic, star, balanced:<k>, dary:<d>, homogeneous, \
-     exhaustive."
-  in
-  Arg.(value & opt string "heuristic" & info [ "strategy" ] ~docv:"NAME" ~doc)
-
-let replan_mode_arg =
-  let doc =
-    "Self-heal: how replans are planned — incremental (patch the running \
-     hierarchy, falling back to a from-scratch plan when the patch is not \
-     good enough) or full (always replan from scratch)."
-  in
-  Arg.(value & opt string "incremental" & info [ "replan-mode" ] ~docv:"MODE" ~doc)
-
-let prefer_incremental_of_mode = function
-  | "incremental" -> true
-  | "full" -> false
-  | other -> exit_err ("--replan-mode must be incremental or full, got " ^ other)
-
-let rollout_mode_arg =
-  let doc =
-    "Self-heal: how accepted replans are enacted — off (one-shot swap, the \
-     default), direct (one-shot swap recorded as a decision trail), or canary \
-     (stage on a client fraction, bake against the alert rules, then promote \
-     or roll back)."
-  in
-  Arg.(value & opt string "off" & info [ "rollout" ] ~docv:"MODE" ~doc)
-
-let canary_fraction_arg =
-  let doc =
-    "Canary rollout: fraction of clients routed to the staged hierarchy \
-     during the bake (deterministic hash of the client id)."
-  in
-  Arg.(value & opt float 0.25 & info [ "canary-fraction" ] ~docv:"FRACTION" ~doc)
-
-let bake_window_arg =
-  let doc =
-    "Canary rollout: simulated seconds the canary is observed before the \
-     promote-or-rollback verdict."
-  in
-  Arg.(value & opt float 2.0 & info [ "bake-window" ] ~docv:"SECONDS" ~doc)
-
-let build_platform file n power bandwidth hetero seed =
-  match file with
-  | Some path -> (
-      match Adept_platform.Catalog.load path with
-      | Ok p -> p
-      | Error e -> exit_err ("cannot load platform: " ^ e))
-  | None ->
-      if hetero then
-        let rng = Adept_util.Rng.create seed in
-        Adept_platform.Generator.background_loaded ~bandwidth ~rng ~n ~power
-          ~load_fraction:0.65 ~load_levels:4 ()
-      else Adept_platform.Generator.homogeneous ~bandwidth ~n ~power ()
-
-let demand_of = function
-  | None -> Adept_model.Demand.unbounded
-  | Some r -> Adept_model.Demand.rate r
-
-(* Accept either a bare hierarchy XML or a full GoDIET deployment document. *)
-let load_hierarchy platform path =
-  let text =
-    match In_channel.with_open_text path In_channel.input_all with
-    | t -> t
-    | exception Sys_error e -> exit_err e
-  in
-  match Adept_hierarchy.Xml.of_string_on platform text with
-  | Ok tree -> tree
-  | Error direct_err -> (
-      match Adept_godiet.Writer.parse_document text with
-      | Ok shape -> (
-          match
-            Adept_hierarchy.Xml.of_string_on platform (Adept_hierarchy.Xml.to_string shape)
-          with
-          | Ok tree -> tree
-          | Error e -> exit_err ("cannot resolve hierarchy hosts: " ^ e))
-      | Error _ -> exit_err ("cannot parse hierarchy: " ^ direct_err))
-
-(* ---------- platform ---------- *)
-
-let platform_cmd =
-  let run file n power bandwidth hetero seed output =
-    let platform = build_platform file n power bandwidth hetero seed in
-    let text = Adept_platform.Catalog.to_string platform in
-    (match output with
-    | None -> print_string text
-    | Some path ->
-        Adept_platform.Catalog.save platform path;
-        Printf.printf "wrote %s\n" path);
-    Format.printf "%a@." Adept_platform.Platform.pp_summary platform
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE"
-           ~doc:"Write the catalog to this file.")
-  in
-  Cmd.v
-    (Cmd.info "platform" ~doc:"Generate or inspect a platform catalog")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ output)
-
-(* ---------- plan ---------- *)
-
-let plan_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategy xml_out dot_out =
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategy =
-      match Adept.Planner.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e -> exit_error e
+(* A plan request: the platform plus --dgemm/--demand/--strategy, with
+   the --seed of the platform group. *)
+let request_term =
+  let strategy =
+    let doc =
+      "Planning strategy: heuristic, star, balanced:<k>, dary:<d>, \
+       homogeneous, exhaustive, multi-cluster, or improved:<s> (plan with \
+       strategy <s>, then remove bottlenecks iteratively)."
     in
-    match
-      Adept.Planner.run strategy params ~platform ~wapp ~demand:(demand_of demand)
-    with
-    | Error e -> exit_error e
-    | Ok plan ->
-        Format.printf "%a@." Adept.Planner.pp_plan plan;
-        (match
-           Adept_platform.Link.uniform_bandwidth (Adept_platform.Platform.link platform)
-         with
-        | Some bandwidth ->
-            Format.printf "%s@."
-              (Adept.Evaluate.report params ~bandwidth ~wapp plan.Adept.Planner.tree)
-        | None ->
-            Format.printf "rho (heterogeneous links) = %.2f req/s@."
-              (Adept.Evaluate.rho_hetero params ~platform ~wapp plan.Adept.Planner.tree));
-        Option.iter
-          (fun path ->
-            Adept_godiet.Writer.save platform plan.Adept.Planner.tree path;
-            Printf.printf "wrote GoDIET XML to %s\n" path)
-          xml_out;
-        Option.iter
-          (fun path ->
-            Adept_hierarchy.Dot.save plan.Adept.Planner.tree path;
-            Printf.printf "wrote DOT to %s\n" path)
-          dot_out
+    Arg.(value & opt string "heuristic" & info [ "strategy" ] ~docv:"NAME" ~doc)
   in
-  let xml_out =
-    Arg.(value & opt (some string) None & info [ "xml" ] ~docv:"FILE"
-           ~doc:"Export the plan as a GoDIET XML document.")
+  let make (spec, seed) dgemm demand strategy =
+    ({ Proto.spec; dgemm; demand; strategy; use_cache = true }, seed)
   in
-  let dot_out =
-    Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
-           ~doc:"Export the hierarchy as Graphviz DOT.")
-  in
-  Cmd.v
-    (Cmd.info "plan" ~doc:"Plan a middleware deployment")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategy_arg
-          $ xml_out $ dot_out)
+  Term.(const make $ platform_term $ dgemm_arg $ demand_arg $ strategy)
 
-(* ---------- eval ---------- *)
+let replan_term =
+  let failed =
+    Arg.(value & pos_all int [] & info [] ~docv:"NODE_ID"
+           ~doc:"Ids of the failed nodes to plan around.")
+  in
+  let make ((req : Proto.plan_params), _) failed =
+    {
+      Proto.r_spec = req.spec;
+      r_dgemm = req.dgemm;
+      r_demand = req.demand;
+      r_strategy = req.strategy;
+      r_failed = failed;
+    }
+  in
+  Term.(const make $ request_term $ failed)
 
-let eval_cmd =
-  let run file n power bandwidth hetero seed dgemm xml =
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let tree = load_hierarchy platform xml in
-    Format.printf "%s@."
-      (Adept.Evaluate.report params
-         ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
-         ~wapp tree)
-  in
-  let xml =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"HIERARCHY_XML"
-           ~doc:"Hierarchy XML file to evaluate.")
-  in
-  Cmd.v
-    (Cmd.info "eval" ~doc:"Evaluate a hierarchy XML under the throughput model")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ xml)
+let clients_arg ~default ~doc =
+  Arg.(value & opt int default & info [ "clients" ] ~docv:"N" ~doc)
 
-(* ---------- simulate ---------- *)
+(* --clients/--warmup/--duration: the closed-loop measurement window. *)
+type window = { clients : int; warmup : float; duration : float }
 
-let simulate_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategy clients warmup
-      duration crash_rate mttr drop fault_seed timeout service_timeout retries
-      backoff patience self_heal degrade_threshold cooldown max_replans
-      replan_mode rollout_mode canary_fraction bake_window =
-    if crash_rate < 0.0 then exit_err "--crash-rate must be >= 0";
-    if not (drop >= 0.0 && drop < 1.0) then exit_err "--drop must be in [0, 1)";
-    if mttr <= 0.0 then exit_err "--mttr must be > 0";
-    (* validate even when --self-heal is absent: a typo must not pass silently *)
-    let prefer_incremental = prefer_incremental_of_mode replan_mode in
-    let rollout =
-      match Adept_sim.Rollout.mode_of_string rollout_mode with
-      | Error e -> exit_error e
-      | Ok mode -> (
-          match
-            Adept_sim.Rollout.config ~canary_fraction ~bake_window mode
-          with
-          | Ok r -> r
-          | Error e -> exit_error e)
-    in
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategy =
-      match Adept.Planner.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e -> exit_error e
-    in
-    let controller =
-      match self_heal with
-      | None -> None
-      | Some policy_name -> (
-          let policy =
-            match policy_name with
-            | "off" -> Adept_sim.Controller.Off
-            | "eager" -> Adept_sim.Controller.Eager
-            | "hysteresis" -> Adept_sim.Controller.Hysteresis
-            | other ->
-                exit_err
-                  ("--self-heal must be off, eager or hysteresis, got " ^ other)
-          in
-          match
-            Adept_sim.Controller.config ~strategy ~threshold:degrade_threshold
-              ~cooldown ~max_replans
-              ~prefer_incremental ~rollout policy
-          with
-          | Ok cfg -> Some cfg
-          | Error e -> exit_error e)
-    in
-    match
-      Adept.Planner.run strategy params ~platform ~wapp ~demand:(demand_of demand)
-    with
-    | Error e -> exit_error e
-    | Ok plan ->
-        Format.printf "%a@." Adept.Planner.pp_plan plan;
-        let job = Adept_workload.Job.of_dgemm (Adept_workload.Dgemm.make dgemm) in
-        let faults =
-          if crash_rate <= 0.0 && drop <= 0.0 then Adept_sim.Faults.none
-          else begin
-            let tree = plan.Adept.Planner.tree in
-            let root = Adept_platform.Node.id (Adept_hierarchy.Tree.root_node tree) in
-            (* everything but the root agent is fair game for crashes *)
-            let crashable =
-              List.filter_map
-                (fun node ->
-                  let id = Adept_platform.Node.id node in
-                  if id = root then None else Some id)
-                (Adept_hierarchy.Tree.nodes tree)
-            in
-            let f =
-              match
-                Adept_sim.Faults.make ~timeout ~service_timeout
-                  ~max_retries:retries ~backoff ~patience ()
-              with
-              | Ok f -> f
-              | Error e -> exit_error e
-            in
-            let f =
-              if crash_rate > 0.0 then
-                Adept_sim.Faults.seeded_crashes
-                  ~rng:(Adept_util.Rng.create fault_seed)
-                  ~nodes:crashable ~rate:crash_rate ~mttr
-                  ~horizon:(warmup +. duration) f
-              else f
-            in
-            if drop > 0.0 then
-              Adept_sim.Faults.with_message_loss ~probability:drop ~seed:fault_seed f
-            else f
-          end
-        in
-        let scenario =
-          Adept_sim.Scenario.make ~faults ?controller
-            ~demand:(demand_of demand) ~seed ~params ~platform
-            ~client:(Adept_workload.Client.closed_loop job)
-            plan.Adept.Planner.tree
-        in
-        let r = Adept_sim.Scenario.run_fixed scenario ~clients ~warmup ~duration in
-        Printf.printf
-          "simulated: %d clients -> %.2f req/s (model %.2f), %d completed, mean \
-           response %.4fs\n"
-          clients r.Adept_sim.Scenario.throughput plan.Adept.Planner.predicted_rho
-          r.Adept_sim.Scenario.completed_total
-          (Option.value ~default:Float.nan r.Adept_sim.Scenario.mean_response);
-        if not (Adept_sim.Faults.is_none faults) then begin
-          let f = r.Adept_sim.Scenario.faults in
-          Printf.printf
-            "faults: %d crash(es), %d recovery(ies), %d message(s) lost, %d \
-             timeout(s), %d request(s) abandoned, %d prune(s), %d rejoin(s)\n"
-            f.Adept_sim.Middleware.crashes f.Adept_sim.Middleware.recoveries
-            f.Adept_sim.Middleware.messages_lost f.Adept_sim.Middleware.timeouts
-            f.Adept_sim.Middleware.abandoned f.Adept_sim.Middleware.prunes
-            f.Adept_sim.Middleware.rejoins;
-          (match f.Adept_sim.Middleware.recovery_latencies with
-          | [] -> ()
-          | ls ->
-              Printf.printf "mean recovery latency: %.3fs over %d prune(s)\n"
-                (List.fold_left ( +. ) 0.0 ls /. float_of_int (List.length ls))
-                (List.length ls))
-        end;
-        if controller <> None then begin
-          Printf.printf
-            "self-heal: %d replan(s) enacted, %.2fs degraded, %d request(s) lost \
-             mid-migration\n"
-            (List.length r.Adept_sim.Scenario.replans)
-            r.Adept_sim.Scenario.degraded_seconds
-            r.Adept_sim.Scenario.migration_lost;
-          List.iter
-            (fun record ->
-              Format.printf "  %a@." Adept_sim.Controller.pp_record record)
-            r.Adept_sim.Scenario.replans
-        end
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N"
-           ~doc:"Closed-loop client population.")
-  in
+let window_term ?(clients_doc = "Closed-loop client population.") () =
   let warmup =
     Arg.(value & opt float 2.0 & info [ "warmup" ] ~docv:"SECONDS"
            ~doc:"Simulated warm-up before measurement.")
@@ -379,6 +140,38 @@ let simulate_cmd =
     Arg.(value & opt float 4.0 & info [ "duration" ] ~docv:"SECONDS"
            ~doc:"Simulated measurement window.")
   in
+  Term.(const (fun clients warmup duration -> { clients; warmup; duration })
+        $ clients_arg ~default:100 ~doc:clients_doc $ warmup $ duration)
+
+let observe_term ?clients_doc () =
+  let make ((req : Proto.plan_params), seed) w =
+    {
+      Proto.o_spec = req.spec;
+      o_dgemm = req.dgemm;
+      o_demand = req.demand;
+      o_strategy = req.strategy;
+      o_seed = seed;
+      o_clients = w.clients;
+      o_warmup = w.warmup;
+      o_duration = w.duration;
+    }
+  in
+  Term.(const make $ request_term $ window_term ?clients_doc ())
+
+(* Fault injection and the middleware's reaction to it. *)
+type faults = {
+  crash_rate : float;
+  mttr : float;
+  drop : float;
+  fault_seed : int;
+  timeout : float;
+  service_timeout : float;
+  retries : int;
+  backoff : float;
+  patience : float;
+}
+
+let faults_term =
   let crash_rate =
     Arg.(value & opt float 0.0 & info [ "crash-rate" ] ~docv:"RATE"
            ~doc:"Fault injection: crashes per non-root node per simulated second \
@@ -416,131 +209,342 @@ let simulate_cmd =
     Arg.(value & opt float 0.25 & info [ "patience" ] ~docv:"SECONDS"
            ~doc:"Fault reaction: agent-side wait for child replies.")
   in
-  let self_heal =
-    Arg.(value & opt (some string) None & info [ "self-heal" ] ~docv:"POLICY"
-           ~doc:"Attach the online redeployment controller: off (monitor only), \
-                 eager, or hysteresis.")
+  let make crash_rate mttr drop fault_seed timeout service_timeout retries
+      backoff patience =
+    if crash_rate < 0.0 then exit_err "--crash-rate must be >= 0";
+    if not (drop >= 0.0 && drop < 1.0) then exit_err "--drop must be in [0, 1)";
+    if mttr <= 0.0 then exit_err "--mttr must be > 0";
+    { crash_rate; mttr; drop; fault_seed; timeout; service_timeout; retries;
+      backoff; patience }
   in
-  let degrade_threshold =
+  Term.(const make $ crash_rate $ mttr $ drop $ fault_seed $ timeout
+        $ service_timeout $ retries $ backoff $ patience)
+
+(* The schedule for a deployed [tree]: the scripted [crashes], seeded
+   crashes over [horizon] and message loss — or no faults at all when
+   nothing is injected. *)
+let fault_schedule f ?(crashes = []) ~horizon tree =
+  if crashes = [] && f.crash_rate <= 0.0 && f.drop <= 0.0 then
+    Adept_sim.Faults.none
+  else
+    let schedule =
+      or_exit_typed
+        (Adept_sim.Faults.make ~timeout:f.timeout
+           ~service_timeout:f.service_timeout ~max_retries:f.retries
+           ~backoff:f.backoff ~patience:f.patience ())
+    in
+    let schedule =
+      List.fold_left
+        (fun s (node, at, recover_at) ->
+          match Adept_sim.Faults.crash ?recover_at ~node ~at s with
+          | s -> s
+          | exception Invalid_argument m -> exit_err m)
+        schedule crashes
+    in
+    let schedule =
+      if f.crash_rate > 0.0 then
+        (* everything but the root agent is fair game for crashes *)
+        let root = Adept_platform.Node.id (Adept_hierarchy.Tree.root_node tree) in
+        let crashable =
+          List.filter (fun id -> id <> root)
+            (List.map Adept_platform.Node.id (Adept_hierarchy.Tree.nodes tree))
+        in
+        Adept_sim.Faults.seeded_crashes
+          ~rng:(Adept_util.Rng.create f.fault_seed)
+          ~nodes:crashable ~rate:f.crash_rate ~mttr:f.mttr ~horizon schedule
+      else schedule
+    in
+    if f.drop > 0.0 then
+      Adept_sim.Faults.with_message_loss ~probability:f.drop ~seed:f.fault_seed
+        schedule
+    else schedule
+
+(* The online redeployment controller's flags; [cooldown] is the
+   subcommand's default for --cooldown. *)
+type self_heal = {
+  policy : string option;
+  threshold : float;
+  cooldown : float;
+  max_replans : int;
+  prefer_incremental : bool;
+}
+
+let self_heal_term ~cooldown ~policy_doc =
+  let policy =
+    Arg.(value & opt (some string) None & info [ "self-heal" ] ~docv:"POLICY"
+           ~doc:policy_doc)
+  in
+  let threshold =
     Arg.(value & opt float 0.5 & info [ "degrade-threshold" ] ~docv:"FRACTION"
            ~doc:"Self-heal: degraded when observed throughput falls below this \
                  fraction of the model's rho.")
   in
   let cooldown =
-    Arg.(value & opt float 20.0 & info [ "cooldown" ] ~docv:"SECONDS"
+    Arg.(value & opt float cooldown & info [ "cooldown" ] ~docv:"SECONDS"
            ~doc:"Self-heal: minimum time between enacted replans (hysteresis).")
   in
   let max_replans =
     Arg.(value & opt int 3 & info [ "max-replans" ] ~docv:"N"
            ~doc:"Self-heal: replan budget for the whole run.")
   in
+  let replan_mode =
+    let doc =
+      "Self-heal: how replans are planned — incremental (patch the running \
+       hierarchy, falling back to a from-scratch plan when the patch is not \
+       good enough) or full (always replan from scratch)."
+    in
+    Arg.(value & opt string "incremental" & info [ "replan-mode" ] ~docv:"MODE" ~doc)
+  in
+  let make policy threshold cooldown max_replans replan_mode =
+    (* validated even when --self-heal is absent: a typo must not pass
+       silently *)
+    let prefer_incremental =
+      match replan_mode with
+      | "incremental" -> true
+      | "full" -> false
+      | other -> exit_err ("--replan-mode must be incremental or full, got " ^ other)
+    in
+    { policy; threshold; cooldown; max_replans; prefer_incremental }
+  in
+  Term.(const make $ policy $ threshold $ cooldown $ max_replans $ replan_mode)
+
+(* The controller --self-heal attaches, if any. *)
+let controller sh ~strategy ?sample_period ?window ?hold_time ?rollout () =
+  Option.map
+    (fun name ->
+      let policy =
+        match name with
+        | "off" -> Adept_sim.Controller.Off
+        | "eager" -> Adept_sim.Controller.Eager
+        | "hysteresis" -> Adept_sim.Controller.Hysteresis
+        | other ->
+            exit_err ("--self-heal must be off, eager or hysteresis, got " ^ other)
+      in
+      or_exit_typed
+        (Adept_sim.Controller.config ~strategy ?sample_period ?window
+           ~threshold:sh.threshold ?hold_time ~cooldown:sh.cooldown
+           ~max_replans:sh.max_replans ~prefer_incremental:sh.prefer_incremental
+           ?rollout policy))
+    sh.policy
+
+let canary_fraction_arg =
+  let doc =
+    "Canary rollout: fraction of clients routed to the staged hierarchy \
+     during the bake (deterministic hash of the client id)."
+  in
+  Arg.(value & opt float 0.25 & info [ "canary-fraction" ] ~docv:"FRACTION" ~doc)
+
+let bake_window_arg =
+  let doc =
+    "Canary rollout: simulated seconds the canary is observed before the \
+     promote-or-rollback verdict."
+  in
+  Arg.(value & opt float 2.0 & info [ "bake-window" ] ~docv:"SECONDS" ~doc)
+
+(* A closed-loop DGEMM client population against [tree]. *)
+let scenario ?faults ?controller ?demand ~seed ~dgemm ~platform tree =
+  let job = Adept_workload.Job.of_dgemm (Adept_workload.Dgemm.make dgemm) in
+  Adept_sim.Scenario.make ?faults ?controller ?demand ~seed ~params:Render.params
+    ~platform
+    ~client:(Adept_workload.Client.closed_loop job)
+    tree
+
+(* Accept either a bare hierarchy XML or a full GoDIET deployment document. *)
+let load_hierarchy platform path =
+  let text = or_exit (read_file path) in
+  match Adept_hierarchy.Xml.of_string_on platform text with
+  | Ok tree -> tree
+  | Error direct_err -> (
+      match Adept_godiet.Writer.parse_document text with
+      | Ok shape -> (
+          match
+            Adept_hierarchy.Xml.of_string_on platform (Adept_hierarchy.Xml.to_string shape)
+          with
+          | Ok tree -> tree
+          | Error e -> exit_err ("cannot resolve hierarchy hosts: " ^ e))
+      | Error _ -> exit_err ("cannot parse hierarchy: " ^ direct_err))
+
+(* ---------- platform ---------- *)
+
+let platform_cmd =
+  let run (spec, _) output =
+    let platform = or_exit (Render.platform_of_spec spec) in
+    let text = Adept_platform.Catalog.to_string platform in
+    (match output with
+    | None -> print_string text
+    | Some path ->
+        Adept_platform.Catalog.save platform path;
+        Printf.printf "wrote %s\n" path);
+    Format.printf "%a@." Adept_platform.Platform.pp_summary platform
+  in
+  let output =
+    Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE"
+           ~doc:"Write the catalog to this file.")
+  in
+  Cmd.v
+    (Cmd.info "platform" ~doc:"Generate or inspect a platform catalog")
+    Term.(const run $ platform_term $ output)
+
+(* ---------- plan ---------- *)
+
+let plan_cmd =
+  let run (req, _) xml_out dot_out =
+    let { Render.platform; wapp; plan; _ } = or_exit (Render.planned req) in
+    print_string (Render.plan_text ~platform ~wapp plan);
+    Option.iter
+      (fun path ->
+        Adept_godiet.Writer.save platform plan.Adept.Planner.tree path;
+        Printf.printf "wrote GoDIET XML to %s\n" path)
+      xml_out;
+    Option.iter
+      (fun path ->
+        Adept_hierarchy.Dot.save plan.Adept.Planner.tree path;
+        Printf.printf "wrote DOT to %s\n" path)
+      dot_out
+  in
+  let xml_out =
+    Arg.(value & opt (some string) None & info [ "xml" ] ~docv:"FILE"
+           ~doc:"Export the plan as a GoDIET XML document.")
+  in
+  let dot_out =
+    Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE"
+           ~doc:"Export the hierarchy as Graphviz DOT.")
+  in
+  Cmd.v
+    (Cmd.info "plan" ~doc:"Plan a middleware deployment")
+    Term.(const run $ request_term $ xml_out $ dot_out)
+
+(* ---------- eval ---------- *)
+
+let eval_cmd =
+  let run (spec, _) dgemm xml =
+    let platform = or_exit (Render.platform_of_spec spec) in
+    let wapp = or_exit (Render.wapp_of_dgemm dgemm) in
+    let tree = load_hierarchy platform xml in
+    Format.printf "%s@."
+      (Adept.Evaluate.report Render.params
+         ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
+         ~wapp tree)
+  in
+  let xml =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"HIERARCHY_XML"
+           ~doc:"Hierarchy XML file to evaluate.")
+  in
+  Cmd.v
+    (Cmd.info "eval" ~doc:"Evaluate a hierarchy XML under the throughput model")
+    Term.(const run $ platform_term $ dgemm_arg $ xml)
+
+(* ---------- simulate ---------- *)
+
+let simulate_cmd =
+  let run ((req : Proto.plan_params), seed) w faults sh rollout_mode
+      canary_fraction bake_window =
+    let rollout =
+      or_exit_typed
+        (Result.bind
+           (Adept_sim.Rollout.mode_of_string rollout_mode)
+           (Adept_sim.Rollout.config ~canary_fraction ~bake_window))
+    in
+    let { Render.platform; strategy; plan; _ } = or_exit (Render.planned req) in
+    let controller = controller sh ~strategy ~rollout () in
+    Format.printf "%a@." Adept.Planner.pp_plan plan;
+    let tree = plan.Adept.Planner.tree in
+    let faults = fault_schedule faults ~horizon:(w.warmup +. w.duration) tree in
+    let r =
+      Adept_sim.Scenario.run_fixed
+        (scenario ~faults ?controller ~demand:(Render.demand_of req.demand) ~seed
+           ~dgemm:req.dgemm ~platform tree)
+        ~clients:w.clients ~warmup:w.warmup ~duration:w.duration
+    in
+    Printf.printf
+      "simulated: %d clients -> %.2f req/s (model %.2f), %d completed, mean \
+       response %.4fs\n"
+      w.clients r.Adept_sim.Scenario.throughput plan.Adept.Planner.predicted_rho
+      r.Adept_sim.Scenario.completed_total
+      (Option.value ~default:Float.nan r.Adept_sim.Scenario.mean_response);
+    if not (Adept_sim.Faults.is_none faults) then begin
+      let f = r.Adept_sim.Scenario.faults in
+      Printf.printf
+        "faults: %d crash(es), %d recovery(ies), %d message(s) lost, %d \
+         timeout(s), %d request(s) abandoned, %d prune(s), %d rejoin(s)\n"
+        f.Adept_sim.Middleware.crashes f.Adept_sim.Middleware.recoveries
+        f.Adept_sim.Middleware.messages_lost f.Adept_sim.Middleware.timeouts
+        f.Adept_sim.Middleware.abandoned f.Adept_sim.Middleware.prunes
+        f.Adept_sim.Middleware.rejoins;
+      (match f.Adept_sim.Middleware.recovery_latencies with
+      | [] -> ()
+      | ls ->
+          Printf.printf "mean recovery latency: %.3fs over %d prune(s)\n"
+            (List.fold_left ( +. ) 0.0 ls /. float_of_int (List.length ls))
+            (List.length ls))
+    end;
+    if controller <> None then begin
+      Printf.printf
+        "self-heal: %d replan(s) enacted, %.2fs degraded, %d request(s) lost \
+         mid-migration\n"
+        (List.length r.Adept_sim.Scenario.replans)
+        r.Adept_sim.Scenario.degraded_seconds
+        r.Adept_sim.Scenario.migration_lost;
+      List.iter
+        (fun record -> Format.printf "  %a@." Adept_sim.Controller.pp_record record)
+        r.Adept_sim.Scenario.replans
+    end
+  in
+  let self_heal =
+    self_heal_term ~cooldown:20.0
+      ~policy_doc:"Attach the online redeployment controller: off (monitor only), \
+                   eager, or hysteresis."
+  in
+  let rollout_mode =
+    let doc =
+      "Self-heal: how accepted replans are enacted — off (one-shot swap, the \
+       default), direct (one-shot swap recorded as a decision trail), or canary \
+       (stage on a client fraction, bake against the alert rules, then promote \
+       or roll back)."
+    in
+    Arg.(value & opt string "off" & info [ "rollout" ] ~docv:"MODE" ~doc)
+  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Plan and measure a deployment in the simulator")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategy_arg
-          $ clients $ warmup $ duration $ crash_rate $ mttr $ drop $ fault_seed
-          $ timeout $ service_timeout $ retries $ backoff $ patience $ self_heal
-          $ degrade_threshold $ cooldown $ max_replans $ replan_mode_arg
-          $ rollout_mode_arg $ canary_fraction_arg $ bake_window_arg)
+    Term.(const run $ request_term $ window_term () $ faults_term $ self_heal
+          $ rollout_mode $ canary_fraction_arg $ bake_window_arg)
 
 (* ---------- observe ---------- *)
 
 let observe_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategy clients warmup
-      duration prom_out jsonl_out csv_out max_dev =
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategy =
-      match Adept.Planner.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e -> exit_error e
-    in
-    match
-      Adept.Planner.run strategy params ~platform ~wapp ~demand:(demand_of demand)
-    with
-    | Error e -> exit_error e
-    | Ok plan ->
-        let tree = plan.Adept.Planner.tree in
-        Format.printf "%a@." Adept.Planner.pp_plan plan;
-        let job = Adept_workload.Job.of_dgemm (Adept_workload.Dgemm.make dgemm) in
-        let registry = Adept_obs.Registry.create () in
-        let strategy_labels =
-          Adept_obs.Label.v
-            [ (Adept_obs.Semconv.l_strategy, Adept.Planner.strategy_name strategy) ]
-        in
-        Adept_obs.Counter.inc
-          (Adept_obs.Registry.counter registry ~labels:strategy_labels
-             Adept_obs.Semconv.planner_plans_total);
-        Adept_obs.Counter.inc
-          ~by:(float_of_int plan.Adept.Planner.evaluations)
-          (Adept_obs.Registry.counter registry ~labels:strategy_labels
-             Adept_obs.Semconv.planner_evaluations_total);
-        let scenario =
-          Adept_sim.Scenario.make ~seed ~params ~platform
-            ~client:(Adept_workload.Client.closed_loop job)
-            tree
-        in
-        let tracer = Adept_obs.Tracer.create () in
-        let trace = Adept_sim.Trace.create ~tracer () in
-        let r =
-          Adept_sim.Scenario.run_fixed ~trace ~registry scenario ~clients ~warmup
-            ~duration
-        in
-        Printf.printf
-          "simulated: %d clients -> %.2f req/s over %.1fs after %.1fs warm-up\n"
-          clients r.Adept_sim.Scenario.throughput duration warmup;
-        Printf.printf "trace buffer: %d item(s), %d dropped\n\n"
-          (Adept_obs.Tracer.length tracer)
-          (Adept_obs.Tracer.dropped tracer);
-        let report = Adept_obs.Report.build ~registry ~params ~platform ~wapp ~tree in
-        print_string (Adept_obs.Report.render report);
-        let families = Adept_obs.Registry.snapshot registry in
-        let write path text =
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc text)
-        in
-        Option.iter
-          (fun path ->
-            write path (Adept_obs.Export.prometheus families);
-            Printf.printf "wrote Prometheus text to %s\n" path)
-          prom_out;
-        Option.iter
-          (fun path ->
-            write path (Adept_obs.Export.jsonl families);
-            Printf.printf "wrote JSON lines to %s\n" path)
-          jsonl_out;
-        Option.iter
-          (fun path ->
-            Adept_util.Csv.save (Adept_obs.Export.csv families) path;
-            Printf.printf "wrote CSV to %s\n" path)
-          csv_out;
-        (match max_dev with
-        | None -> ()
-        | Some tol -> (
-            match Adept_obs.Report.max_deviation report with
-            | None -> exit_err "observe: nothing measured, cannot gate on deviation"
-            | Some d when d > tol ->
-                exit_err
-                  (Printf.sprintf
-                     "observe: max model-vs-measured deviation %.2f%% exceeds \
-                      tolerance %.2f%%"
-                     (100.0 *. d) (100.0 *. tol))
-            | Some d ->
-                Printf.printf "deviation gate passed: %.2f%% <= %.2f%%\n"
-                  (100.0 *. d) (100.0 *. tol)))
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N"
-           ~doc:"Closed-loop client population (saturate for a meaningful rho \
-                 comparison).")
-  in
-  let warmup =
-    Arg.(value & opt float 2.0 & info [ "warmup" ] ~docv:"SECONDS"
-           ~doc:"Simulated warm-up before measurement.")
-  in
-  let duration =
-    Arg.(value & opt float 4.0 & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated measurement window.")
+  let run o prom_out jsonl_out csv_out max_dev =
+    let { Render.text; registry; report; _ } = or_exit (Render.observed o) in
+    print_string text;
+    let families = Adept_obs.Registry.snapshot registry in
+    Option.iter
+      (fun path ->
+        write_file path (Adept_obs.Export.prometheus families);
+        Printf.printf "wrote Prometheus text to %s\n" path)
+      prom_out;
+    Option.iter
+      (fun path ->
+        write_file path (Adept_obs.Export.jsonl families);
+        Printf.printf "wrote JSON lines to %s\n" path)
+      jsonl_out;
+    Option.iter
+      (fun path ->
+        Adept_util.Csv.save (Adept_obs.Export.csv families) path;
+        Printf.printf "wrote CSV to %s\n" path)
+      csv_out;
+    match max_dev with
+    | None -> ()
+    | Some tol -> (
+        match Adept_obs.Report.max_deviation report with
+        | None -> exit_err "observe: nothing measured, cannot gate on deviation"
+        | Some d when d > tol ->
+            exit_err
+              (Printf.sprintf
+                 "observe: max model-vs-measured deviation %.2f%% exceeds \
+                  tolerance %.2f%%"
+                 (100.0 *. d) (100.0 *. tol))
+        | Some d ->
+            Printf.printf "deviation gate passed: %.2f%% <= %.2f%%\n"
+              (100.0 *. d) (100.0 *. tol))
   in
   let prom_out =
     Arg.(value & opt (some string) None & info [ "prom" ] ~docv:"FILE"
@@ -562,119 +566,85 @@ let observe_cmd =
   Cmd.v
     (Cmd.info "observe"
        ~doc:"Run an instrumented simulation and report model-vs-measured costs")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategy_arg
-          $ clients $ warmup $ duration $ prom_out $ jsonl_out $ csv_out $ max_dev)
+    Term.(const run
+          $ observe_term
+              ~clients_doc:"Closed-loop client population (saturate for a \
+                            meaningful rho comparison)."
+              ()
+          $ prom_out $ jsonl_out $ csv_out $ max_dev)
 
 (* ---------- trace ---------- *)
 
 let trace_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategy clients warmup
-      duration sample_rate slowest chrome_out dot_out assert_match =
+  let run ((req : Proto.plan_params), seed) w sample_rate slowest chrome_out
+      dot_out assert_match =
     if not (sample_rate >= 0.0 && sample_rate <= 1.0) then
       exit_err "--trace-sample-rate must be in [0, 1]";
     if slowest < 1 then exit_err "--slowest must be >= 1";
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategy =
-      match Adept.Planner.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e -> exit_error e
+    let { Render.platform; wapp; plan; _ } = or_exit (Render.planned req) in
+    let tree = plan.Adept.Planner.tree in
+    Format.printf "%a@." Adept.Planner.pp_plan plan;
+    let registry = Adept_obs.Registry.create () in
+    let store = Adept_obs.Request_trace.create ~sample_rate ~max_traces:slowest () in
+    let r =
+      Adept_sim.Scenario.run_fixed ~registry ~rtrace:store
+        (scenario ~seed ~dgemm:req.dgemm ~platform tree)
+        ~clients:w.clients ~warmup:w.warmup ~duration:w.duration
     in
-    match
-      Adept.Planner.run strategy params ~platform ~wapp ~demand:(demand_of demand)
-    with
-    | Error e -> exit_error e
-    | Ok plan ->
-        let tree = plan.Adept.Planner.tree in
-        Format.printf "%a@." Adept.Planner.pp_plan plan;
-        let job = Adept_workload.Job.of_dgemm (Adept_workload.Dgemm.make dgemm) in
-        let registry = Adept_obs.Registry.create () in
-        let store =
-          Adept_obs.Request_trace.create ~sample_rate ~max_traces:slowest ()
-        in
-        let scenario =
-          Adept_sim.Scenario.make ~seed ~params ~platform
-            ~client:(Adept_workload.Client.closed_loop job)
-            tree
-        in
-        let r =
-          Adept_sim.Scenario.run_fixed ~registry ~rtrace:store scenario ~clients
-            ~warmup ~duration
-        in
-        Printf.printf
-          "simulated: %d clients -> %.2f req/s over %.1fs after %.1fs warm-up\n\n"
-          clients r.Adept_sim.Scenario.throughput duration warmup;
-        let utilization =
-          match
-            Adept_obs.Registry.find registry Adept_obs.Semconv.node_utilization_ratio
-          with
-          | None -> []
-          | Some fam ->
-              List.filter_map
-                (fun (labels, value) ->
-                  match
-                    ( Option.bind
-                        (Adept_obs.Label.find labels Adept_obs.Semconv.l_node)
-                        int_of_string_opt,
-                      value )
-                  with
-                  | Some id, Adept_obs.Registry.Gauge u -> Some (id, u)
-                  | _ -> None)
-                fam.Adept_obs.Registry.series
-        in
-        let predicted =
-          Adept.Evaluate.bottleneck_element params
-            ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
-            ~wapp tree
-        in
-        let attribution =
-          Adept_obs.Attribution.build ~store ~tree ~utilization ~predicted ()
-        in
-        print_string (Adept_obs.Attribution.render attribution);
-        (match Adept_obs.Request_trace.exemplars store with
-        | [] -> ()
-        | worst :: _ ->
-            Printf.printf "\nslowest request (trace %d, %.4fs):\n%s"
-              worst.Adept_obs.Request_trace.tr_id
-              (Adept_obs.Request_trace.duration worst)
-              (Adept_obs.Critical_path.render worst));
-        let write path text =
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc text)
-        in
-        Option.iter
-          (fun path ->
-            write path (Adept_obs.Export.chrome_trace store);
-            Printf.printf "wrote Chrome trace JSON to %s\n" path)
-          chrome_out;
-        Option.iter
-          (fun path ->
-            write path (Adept_obs.Attribution.heat_dot attribution ~tree);
-            Printf.printf "wrote utilization-heat DOT to %s\n" path)
-          dot_out;
-        if assert_match then
-          match Adept_obs.Attribution.matches attribution with
-          | Some true ->
-              Printf.printf "bottleneck gate passed: measurement matches the model\n"
-          | Some false ->
-              exit_err
-                "trace: measured bottleneck disagrees with the model prediction"
-          | None ->
-              exit_err "trace: nothing measured (or no prediction), cannot gate"
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N"
-           ~doc:"Closed-loop client population (saturate for a meaningful \
-                 bottleneck).")
-  in
-  let warmup =
-    Arg.(value & opt float 2.0 & info [ "warmup" ] ~docv:"SECONDS"
-           ~doc:"Simulated warm-up before measurement.")
-  in
-  let duration =
-    Arg.(value & opt float 4.0 & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated measurement window.")
+    Printf.printf
+      "simulated: %d clients -> %.2f req/s over %.1fs after %.1fs warm-up\n\n"
+      w.clients r.Adept_sim.Scenario.throughput w.duration w.warmup;
+    let utilization =
+      match
+        Adept_obs.Registry.find registry Adept_obs.Semconv.node_utilization_ratio
+      with
+      | None -> []
+      | Some fam ->
+          List.filter_map
+            (fun (labels, value) ->
+              match
+                ( Option.bind
+                    (Adept_obs.Label.find labels Adept_obs.Semconv.l_node)
+                    int_of_string_opt,
+                  value )
+              with
+              | Some id, Adept_obs.Registry.Gauge u -> Some (id, u)
+              | _ -> None)
+            fam.Adept_obs.Registry.series
+    in
+    let predicted =
+      Adept.Evaluate.bottleneck_element Render.params
+        ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
+        ~wapp tree
+    in
+    let attribution =
+      Adept_obs.Attribution.build ~store ~tree ~utilization ~predicted ()
+    in
+    print_string (Adept_obs.Attribution.render attribution);
+    (match Adept_obs.Request_trace.exemplars store with
+    | [] -> ()
+    | worst :: _ ->
+        Printf.printf "\nslowest request (trace %d, %.4fs):\n%s"
+          worst.Adept_obs.Request_trace.tr_id
+          (Adept_obs.Request_trace.duration worst)
+          (Adept_obs.Critical_path.render worst));
+    Option.iter
+      (fun path ->
+        write_file path (Adept_obs.Export.chrome_trace store);
+        Printf.printf "wrote Chrome trace JSON to %s\n" path)
+      chrome_out;
+    Option.iter
+      (fun path ->
+        write_file path (Adept_obs.Attribution.heat_dot attribution ~tree);
+        Printf.printf "wrote utilization-heat DOT to %s\n" path)
+      dot_out;
+    if assert_match then
+      match Adept_obs.Attribution.matches attribution with
+      | Some true ->
+          Printf.printf "bottleneck gate passed: measurement matches the model\n"
+      | Some false ->
+          exit_err "trace: measured bottleneck disagrees with the model prediction"
+      | None -> exit_err "trace: nothing measured (or no prediction), cannot gate"
   in
   let sample_rate =
     Arg.(value & opt float 1.0 & info [ "trace-sample-rate" ] ~docv:"FRACTION"
@@ -704,10 +674,12 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Trace per-request critical paths and attribute the bottleneck")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategy_arg
-          $ clients $ warmup $ duration $ sample_rate $ slowest $ chrome_out
-          $ dot_out $ assert_match)
+    Term.(const run $ request_term
+          $ window_term
+              ~clients_doc:"Closed-loop client population (saturate for a \
+                            meaningful bottleneck)."
+              ()
+          $ sample_rate $ slowest $ chrome_out $ dot_out $ assert_match)
 
 (* ---------- monitor ---------- *)
 
@@ -724,221 +696,124 @@ let parse_crash spec =
   | _ -> fail ()
 
 let monitor_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategy clients warmup
-      duration scrape_interval retention rules_file crashes crash_rate mttr drop
-      fault_seed
-      timeout service_timeout retries backoff patience self_heal degrade_threshold
-      sample_period window hold_time cooldown max_replans replan_mode
+  let run ((req : Proto.plan_params), seed) w scrape_interval retention
+      rules_file crashes faults sh sample_period window hold_time
       drift_tolerance drift_hold rule_window timeline_out alerts_out html_out =
     if scrape_interval < 0.0 then exit_err "--scrape-interval must be >= 0";
-    if crash_rate < 0.0 then exit_err "--crash-rate must be >= 0";
-    if not (drop >= 0.0 && drop < 1.0) then exit_err "--drop must be in [0, 1)";
-    if mttr <= 0.0 then exit_err "--mttr must be > 0";
-    (* validate even when --self-heal is absent: a typo must not pass silently *)
-    let prefer_incremental = prefer_incremental_of_mode replan_mode in
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategy =
-      match Adept.Planner.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e -> exit_error e
-    in
     let crashes = List.map parse_crash crashes in
-    match
-      Adept.Planner.run strategy params ~platform ~wapp ~demand:(demand_of demand)
-    with
-    | Error e -> exit_error e
-    | Ok plan ->
-        let tree = plan.Adept.Planner.tree in
-        Format.printf "%a@." Adept.Planner.pp_plan plan;
-        let root = Adept_platform.Node.id (Adept_hierarchy.Tree.root_node tree) in
-        let deployed =
-          List.map Adept_platform.Node.id (Adept_hierarchy.Tree.nodes tree)
-        in
-        List.iter
-          (fun (node, _, _) ->
-            if node = root then exit_err "--crash: cannot crash the root agent";
-            if not (List.mem node deployed) then
-              exit_err
-                (Printf.sprintf "--crash: node %d is not part of the deployment"
-                   node))
-          crashes;
-        let job = Adept_workload.Job.of_dgemm (Adept_workload.Dgemm.make dgemm) in
-        let faults =
-          if crashes = [] && crash_rate <= 0.0 && drop <= 0.0 then
-            Adept_sim.Faults.none
-          else begin
-            let f =
-              match
-                Adept_sim.Faults.make ~timeout ~service_timeout
-                  ~max_retries:retries ~backoff ~patience ()
-              with
-              | Ok f -> f
-              | Error e -> exit_error e
-            in
-            let f =
-              List.fold_left
-                (fun f (node, at, recover_at) ->
-                  match Adept_sim.Faults.crash ?recover_at ~node ~at f with
-                  | f -> f
-                  | exception Invalid_argument m -> exit_err m)
-                f crashes
-            in
-            let f =
-              if crash_rate > 0.0 then
-                let crashable = List.filter (fun id -> id <> root) deployed in
-                Adept_sim.Faults.seeded_crashes
-                  ~rng:(Adept_util.Rng.create fault_seed)
-                  ~nodes:crashable ~rate:crash_rate ~mttr
-                  ~horizon:(warmup +. duration) f
-              else f
-            in
-            if drop > 0.0 then
-              Adept_sim.Faults.with_message_loss ~probability:drop ~seed:fault_seed f
-            else f
-          end
-        in
-        let controller =
-          match self_heal with
-          | None -> None
-          | Some policy_name -> (
-              let policy =
-                match policy_name with
-                | "off" -> Adept_sim.Controller.Off
-                | "eager" -> Adept_sim.Controller.Eager
-                | "hysteresis" -> Adept_sim.Controller.Hysteresis
-                | other ->
-                    exit_err
-                      ("--self-heal must be off, eager or hysteresis, got " ^ other)
-              in
-              match
-                Adept_sim.Controller.config ~strategy ~sample_period ~window
-                  ~threshold:degrade_threshold ~hold_time ~cooldown ~max_replans
-                  ~prefer_incremental policy
-              with
-              | Ok cfg -> Some cfg
-              | Error e -> exit_error e)
-        in
-        let rules =
-          let model =
-            Adept_sim.Monitor.model_rules ~tolerance:drift_tolerance
-              ~hold:drift_hold ~window:rule_window ~params ~wapp tree
-          in
-          let extra =
-            match rules_file with
-            | None -> []
-            | Some path -> (
-                let text =
-                  match In_channel.with_open_text path In_channel.input_all with
-                  | t -> t
-                  | exception Sys_error e -> exit_err e
-                in
-                match Adept_obs.Rule.parse text with
-                | Ok rs -> rs
-                | Error m -> exit_err ("cannot parse " ^ path ^ ": " ^ m))
-          in
-          model @ extra
-        in
-        let monitor =
-          match
-            Adept_sim.Monitor.create ~interval:scrape_interval ?retention
-              ~selectors:(Adept_sim.Monitor.default_selectors tree)
-              rules
-          with
-          | Ok m -> m
-          | Error e -> exit_error e
-        in
-        let scenario =
-          Adept_sim.Scenario.make ~faults ?controller
-            ~demand:(demand_of demand) ~seed ~params ~platform
-            ~client:(Adept_workload.Client.closed_loop job)
-            tree
-        in
-        let r = Adept_sim.Scenario.run_fixed ~monitor scenario ~clients ~warmup ~duration in
-        Printf.printf
-          "simulated: %d clients -> %.2f req/s (model %.2f), %d completed, %d lost\n"
-          clients r.Adept_sim.Scenario.throughput plan.Adept.Planner.predicted_rho
-          r.Adept_sim.Scenario.completed_total r.Adept_sim.Scenario.lost_total;
-        let alerts = Adept_sim.Monitor.alerts monitor in
-        let transitions = Adept_obs.Alert.transitions alerts in
-        Printf.printf "monitor: %d scrape(s) at %gs intervals, %d rule(s), %d \
-                       alert transition(s)\n"
-          (Adept_sim.Monitor.scrapes monitor)
-          scrape_interval (List.length rules) (List.length transitions);
-        List.iter
-          (fun (tr : Adept_obs.Alert.transition) ->
-            Printf.printf "  %8.3fs %-8s %s (%s)%s\n" tr.Adept_obs.Alert.at
-              (match tr.Adept_obs.Alert.edge with
-              | Adept_obs.Alert.To_pending -> "pending"
-              | Adept_obs.Alert.To_firing -> "FIRING"
-              | Adept_obs.Alert.To_resolved -> "resolved")
-              tr.Adept_obs.Alert.rule.Adept_obs.Rule.name
-              (Adept_obs.Rule.severity_name
-                 tr.Adept_obs.Alert.rule.Adept_obs.Rule.severity)
-              (if Float.is_nan tr.Adept_obs.Alert.value then ""
-               else Printf.sprintf ", value %.3f" tr.Adept_obs.Alert.value))
-          transitions;
-        (match Adept_obs.Alert.firing_names alerts with
-        | [] -> ()
-        | names ->
-            Printf.printf "still firing at end of run: %s\n"
-              (String.concat ", " names));
-        if not (Adept_sim.Faults.is_none faults) then begin
-          let f = r.Adept_sim.Scenario.faults in
-          Printf.printf
-            "faults: %d crash(es), %d recovery(ies), %d message(s) lost, %d \
-             timeout(s), %d request(s) abandoned\n"
-            f.Adept_sim.Middleware.crashes f.Adept_sim.Middleware.recoveries
-            f.Adept_sim.Middleware.messages_lost f.Adept_sim.Middleware.timeouts
-            f.Adept_sim.Middleware.abandoned
-        end;
-        if controller <> None then begin
-          Printf.printf
-            "self-heal: %d replan(s) enacted, %.2fs degraded, %d request(s) \
-             lost mid-migration\n"
-            (List.length r.Adept_sim.Scenario.replans)
-            r.Adept_sim.Scenario.degraded_seconds
-            r.Adept_sim.Scenario.migration_lost;
-          List.iter
-            (fun record ->
-              Format.printf "  %a@." Adept_sim.Controller.pp_record record)
-            r.Adept_sim.Scenario.replans
-        end;
-        let write path text =
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc text)
-        in
-        Option.iter
-          (fun path ->
-            write path (Adept_obs.Export.alert_timeline_jsonl alerts);
-            Printf.printf "wrote alert timeline to %s\n" path)
-          timeline_out;
-        Option.iter
-          (fun path ->
-            write path (Adept_obs.Export.alerts_prom alerts);
-            Printf.printf "wrote ALERTS samples to %s\n" path)
-          alerts_out;
-        Option.iter
-          (fun path ->
-            write path
-              (Adept_obs.Dashboard.render
-                 ~timeseries:(Adept_sim.Monitor.timeseries monitor)
-                 ~alerts
-                 (Adept_sim.Monitor.default_panels tree ~window:rule_window));
-            Printf.printf "wrote dashboard to %s\n" path)
-          html_out
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N"
-           ~doc:"Closed-loop client population.")
-  in
-  let warmup =
-    Arg.(value & opt float 2.0 & info [ "warmup" ] ~docv:"SECONDS"
-           ~doc:"Simulated warm-up before measurement.")
-  in
-  let duration =
-    Arg.(value & opt float 4.0 & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated measurement window.")
+    let { Render.platform; wapp; strategy; plan } = or_exit (Render.planned req) in
+    let tree = plan.Adept.Planner.tree in
+    Format.printf "%a@." Adept.Planner.pp_plan plan;
+    let root = Adept_platform.Node.id (Adept_hierarchy.Tree.root_node tree) in
+    let deployed =
+      List.map Adept_platform.Node.id (Adept_hierarchy.Tree.nodes tree)
+    in
+    List.iter
+      (fun (node, _, _) ->
+        if node = root then exit_err "--crash: cannot crash the root agent";
+        if not (List.mem node deployed) then
+          exit_err
+            (Printf.sprintf "--crash: node %d is not part of the deployment" node))
+      crashes;
+    let faults =
+      fault_schedule faults ~crashes ~horizon:(w.warmup +. w.duration) tree
+    in
+    let controller =
+      controller sh ~strategy ~sample_period ~window ~hold_time ()
+    in
+    let rules =
+      let model =
+        Adept_sim.Monitor.model_rules ~tolerance:drift_tolerance
+          ~hold:drift_hold ~window:rule_window ~params:Render.params ~wapp tree
+      in
+      let extra =
+        match rules_file with
+        | None -> []
+        | Some path -> (
+            match Adept_obs.Rule.parse (or_exit (read_file path)) with
+            | Ok rs -> rs
+            | Error m -> exit_err ("cannot parse " ^ path ^ ": " ^ m))
+      in
+      model @ extra
+    in
+    let monitor =
+      or_exit_typed
+        (Adept_sim.Monitor.create ~interval:scrape_interval ?retention
+           ~selectors:(Adept_sim.Monitor.default_selectors tree)
+           rules)
+    in
+    let r =
+      Adept_sim.Scenario.run_fixed ~monitor
+        (scenario ~faults ?controller ~demand:(Render.demand_of req.demand) ~seed
+           ~dgemm:req.dgemm ~platform tree)
+        ~clients:w.clients ~warmup:w.warmup ~duration:w.duration
+    in
+    Printf.printf
+      "simulated: %d clients -> %.2f req/s (model %.2f), %d completed, %d lost\n"
+      w.clients r.Adept_sim.Scenario.throughput plan.Adept.Planner.predicted_rho
+      r.Adept_sim.Scenario.completed_total r.Adept_sim.Scenario.lost_total;
+    let alerts = Adept_sim.Monitor.alerts monitor in
+    let transitions = Adept_obs.Alert.transitions alerts in
+    Printf.printf "monitor: %d scrape(s) at %gs intervals, %d rule(s), %d \
+                   alert transition(s)\n"
+      (Adept_sim.Monitor.scrapes monitor)
+      scrape_interval (List.length rules) (List.length transitions);
+    List.iter
+      (fun (tr : Adept_obs.Alert.transition) ->
+        Printf.printf "  %8.3fs %-8s %s (%s)%s\n" tr.Adept_obs.Alert.at
+          (match tr.Adept_obs.Alert.edge with
+          | Adept_obs.Alert.To_pending -> "pending"
+          | Adept_obs.Alert.To_firing -> "FIRING"
+          | Adept_obs.Alert.To_resolved -> "resolved")
+          tr.Adept_obs.Alert.rule.Adept_obs.Rule.name
+          (Adept_obs.Rule.severity_name
+             tr.Adept_obs.Alert.rule.Adept_obs.Rule.severity)
+          (if Float.is_nan tr.Adept_obs.Alert.value then ""
+           else Printf.sprintf ", value %.3f" tr.Adept_obs.Alert.value))
+      transitions;
+    (match Adept_obs.Alert.firing_names alerts with
+    | [] -> ()
+    | names ->
+        Printf.printf "still firing at end of run: %s\n" (String.concat ", " names));
+    if not (Adept_sim.Faults.is_none faults) then begin
+      let f = r.Adept_sim.Scenario.faults in
+      Printf.printf
+        "faults: %d crash(es), %d recovery(ies), %d message(s) lost, %d \
+         timeout(s), %d request(s) abandoned\n"
+        f.Adept_sim.Middleware.crashes f.Adept_sim.Middleware.recoveries
+        f.Adept_sim.Middleware.messages_lost f.Adept_sim.Middleware.timeouts
+        f.Adept_sim.Middleware.abandoned
+    end;
+    if controller <> None then begin
+      Printf.printf
+        "self-heal: %d replan(s) enacted, %.2fs degraded, %d request(s) \
+         lost mid-migration\n"
+        (List.length r.Adept_sim.Scenario.replans)
+        r.Adept_sim.Scenario.degraded_seconds
+        r.Adept_sim.Scenario.migration_lost;
+      List.iter
+        (fun record -> Format.printf "  %a@." Adept_sim.Controller.pp_record record)
+        r.Adept_sim.Scenario.replans
+    end;
+    Option.iter
+      (fun path ->
+        write_file path (Adept_obs.Export.alert_timeline_jsonl alerts);
+        Printf.printf "wrote alert timeline to %s\n" path)
+      timeline_out;
+    Option.iter
+      (fun path ->
+        write_file path (Adept_obs.Export.alerts_prom alerts);
+        Printf.printf "wrote ALERTS samples to %s\n" path)
+      alerts_out;
+    Option.iter
+      (fun path ->
+        write_file path
+          (Adept_obs.Dashboard.render
+             ~timeseries:(Adept_sim.Monitor.timeseries monitor)
+             ~alerts
+             (Adept_sim.Monitor.default_panels tree ~window:rule_window));
+        Printf.printf "wrote dashboard to %s\n" path)
+      html_out
   in
   let scrape_interval =
     Arg.(value & opt float 0.25 & info [ "scrape-interval" ] ~docv:"SECONDS"
@@ -963,53 +838,11 @@ let monitor_cmd =
                  optional recovery time (repeatable; deterministic, unlike \
                  --crash-rate).")
   in
-  let crash_rate =
-    Arg.(value & opt float 0.0 & info [ "crash-rate" ] ~docv:"RATE"
-           ~doc:"Fault injection: crashes per non-root node per simulated \
-                 second (Poisson; 0 disables).")
-  in
-  let mttr =
-    Arg.(value & opt float 2.0 & info [ "mttr" ] ~docv:"SECONDS"
-           ~doc:"Fault injection: mean time to repair after a crash.")
-  in
-  let drop =
-    Arg.(value & opt float 0.0 & info [ "drop" ] ~docv:"PROB"
-           ~doc:"Fault injection: per-message loss probability (0 disables).")
-  in
-  let fault_seed =
-    Arg.(value & opt int 7 & info [ "fault-seed" ] ~docv:"SEED"
-           ~doc:"Seed for the crash schedule and message-loss stream.")
-  in
-  let timeout =
-    Arg.(value & opt float 0.5 & info [ "timeout" ] ~docv:"SECONDS"
-           ~doc:"Fault reaction: client-side scheduling round-trip timeout.")
-  in
-  let service_timeout =
-    Arg.(value & opt float 5.0 & info [ "service-timeout" ] ~docv:"SECONDS"
-           ~doc:"Fault reaction: client-side service-phase timeout.")
-  in
-  let retries =
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N"
-           ~doc:"Fault reaction: scheduling retries after the first attempt.")
-  in
-  let backoff =
-    Arg.(value & opt float 2.0 & info [ "backoff" ] ~docv:"FACTOR"
-           ~doc:"Fault reaction: timeout multiplier per retry (>= 1).")
-  in
-  let patience =
-    Arg.(value & opt float 0.25 & info [ "patience" ] ~docv:"SECONDS"
-           ~doc:"Fault reaction: agent-side wait for child replies.")
-  in
   let self_heal =
-    Arg.(value & opt (some string) None & info [ "self-heal" ] ~docv:"POLICY"
-           ~doc:"Attach the online redeployment controller: off (monitor \
-                 only), eager, or hysteresis.  Enacted replans cite the \
-                 alerts firing at trigger time.")
-  in
-  let degrade_threshold =
-    Arg.(value & opt float 0.5 & info [ "degrade-threshold" ] ~docv:"FRACTION"
-           ~doc:"Self-heal: degraded when observed throughput falls below \
-                 this fraction of the model's rho.")
+    self_heal_term ~cooldown:5.0
+      ~policy_doc:"Attach the online redeployment controller: off (monitor \
+                   only), eager, or hysteresis.  Enacted replans cite the \
+                   alerts firing at trigger time."
   in
   let sample_period =
     Arg.(value & opt float 0.5 & info [ "sample-period" ] ~docv:"SECONDS"
@@ -1023,15 +856,6 @@ let monitor_cmd =
     Arg.(value & opt float 1.0 & info [ "hold-time" ] ~docv:"SECONDS"
            ~doc:"Self-heal: sustained degradation before a hysteresis \
                  trigger.")
-  in
-  let cooldown =
-    Arg.(value & opt float 5.0 & info [ "cooldown" ] ~docv:"SECONDS"
-           ~doc:"Self-heal: minimum time between enacted replans \
-                 (hysteresis).")
-  in
-  let max_replans =
-    Arg.(value & opt int 3 & info [ "max-replans" ] ~docv:"N"
-           ~doc:"Self-heal: replan budget for the whole run.")
   in
   let drift_tolerance =
     Arg.(value & opt float 0.25 & info [ "drift-tolerance" ] ~docv:"FRACTION"
@@ -1067,63 +891,27 @@ let monitor_cmd =
     (Cmd.info "monitor"
        ~doc:"Run under continuous monitoring: scrapes, alert rules, \
              model-drift detection")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategy_arg
-          $ clients $ warmup $ duration $ scrape_interval $ retention
-          $ rules_file $ crashes
-          $ crash_rate $ mttr $ drop $ fault_seed $ timeout $ service_timeout
-          $ retries $ backoff $ patience $ self_heal $ degrade_threshold
-          $ sample_period $ window $ hold_time $ cooldown $ max_replans
-          $ replan_mode_arg $ drift_tolerance $ drift_hold $ rule_window
+    Term.(const run $ request_term $ window_term () $ scrape_interval $ retention
+          $ rules_file $ crashes $ faults_term $ self_heal $ sample_period
+          $ window $ hold_time $ drift_tolerance $ drift_hold $ rule_window
           $ timeline_out $ alerts_out $ html_out)
 
 (* ---------- replan ---------- *)
 
 let replan_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategy failed =
-    if failed = [] then exit_err "replan: pass at least one failed node id";
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategy =
-      match Adept.Planner.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e -> exit_error e
-    in
-    match
-      Adept.Planner.replan strategy params ~platform ~wapp
-        ~demand:(demand_of demand) ~failed ()
-    with
-    | Error e -> exit_error e
-    | Ok r ->
-        Format.printf "%a@." Adept.Planner.pp_replan r;
-        Format.printf "%a@." Adept_hierarchy.Tree.pp_compact
-          r.Adept.Planner.replanned.Adept.Planner.tree
-  in
-  let failed =
-    Arg.(value & pos_all int [] & info [] ~docv:"NODE_ID"
-           ~doc:"Ids of the failed nodes to plan around.")
-  in
+  let run r = print_string (fst (or_exit (Render.replan r))) in
   Cmd.v
     (Cmd.info "replan"
        ~doc:"Rebuild a deployment after node failures and report the throughput hit")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategy_arg $ failed)
+    Term.(const run $ replan_term)
 
 (* ---------- rollout ---------- *)
 
 let rollout_cmd =
   let run flavor mode canary_fraction bake_window timeline_out html_out expect =
     let module SH = Adept_experiments.Self_heal in
-    let flavor =
-      match SH.rollout_flavor_of_string flavor with
-      | Ok f -> f
-      | Error e -> exit_error e
-    in
-    let mode =
-      match Adept_sim.Rollout.mode_of_string mode with
-      | Ok m -> m
-      | Error e -> exit_error e
-    in
+    let flavor = or_exit_typed (SH.rollout_flavor_of_string flavor) in
+    let mode = or_exit_typed (Adept_sim.Rollout.mode_of_string mode) in
     let r, monitor, tree =
       match
         SH.run_rollout ~mode ~canary_fraction ~bake_window ~flavor ()
@@ -1158,13 +946,9 @@ let rollout_cmd =
           | [] -> ""
           | names -> " [" ^ String.concat "; " names ^ "]"))
       trail;
-    let write path text =
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc text)
-    in
     Option.iter
       (fun path ->
-        write path (Adept_sim.Rollout.timeline_jsonl ~alerts trail);
+        write_file path (Adept_sim.Rollout.timeline_jsonl ~alerts trail);
         Printf.printf "wrote rollout timeline to %s\n" path)
       timeline_out;
     Option.iter
@@ -1177,7 +961,7 @@ let rollout_cmd =
               | None -> [])
             r.Adept_sim.Scenario.replans
         in
-        write path
+        write_file path
           (Adept_obs.Dashboard.render ~title:"adept rollout"
              ~timeseries:(Adept_sim.Monitor.timeseries monitor)
              ~alerts ~spans
@@ -1236,23 +1020,18 @@ let rollout_cmd =
 (* ---------- compare ---------- *)
 
 let compare_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategies simulate clients =
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategies =
-      if strategies = [] then [ "heuristic"; "star"; "homogeneous" ] else strategies
-    in
+  let run (spec, seed) dgemm demand strategies measure clients =
+    let platform = or_exit (Render.platform_of_spec spec) in
+    let wapp = or_exit (Render.wapp_of_dgemm dgemm) in
     let strategies =
       List.map
-        (fun s ->
-          match Adept.Planner.strategy_of_string s with
-          | Ok st -> st
-          | Error e -> exit_error e)
-        strategies
+        (fun s -> or_exit (Render.strategy_of_string s))
+        (if strategies = [] then [ "heuristic"; "star"; "homogeneous" ]
+         else strategies)
     in
     let results =
-      Adept.Planner.compare_strategies params ~platform ~wapp ~demand:(demand_of demand)
-        strategies
+      Adept.Planner.compare_strategies Render.params ~platform ~wapp
+        ~demand:(Render.demand_of demand) strategies
     in
     let table =
       List.fold_left
@@ -1264,22 +1043,14 @@ let compare_cmd =
                   "error: " ^ Adept.Error.to_string e; "-"; "-" ]
           | Ok plan ->
               let measured =
-                if not simulate then "-"
-                else begin
-                  let job =
-                    Adept_workload.Job.of_dgemm (Adept_workload.Dgemm.make dgemm)
-                  in
-                  let scenario =
-                    Adept_sim.Scenario.make ~seed ~params ~platform
-                      ~client:(Adept_workload.Client.closed_loop job)
-                      plan.Adept.Planner.tree
-                  in
+                if not measure then "-"
+                else
                   let r =
-                    Adept_sim.Scenario.run_fixed scenario ~clients ~warmup:2.0
-                      ~duration:4.0
+                    Adept_sim.Scenario.run_fixed
+                      (scenario ~seed ~dgemm ~platform plan.Adept.Planner.tree)
+                      ~clients ~warmup:2.0 ~duration:4.0
                   in
                   Adept_util.Table.cell_float r.Adept_sim.Scenario.throughput
-                end
               in
               Adept_util.Table.add_row table
                 [
@@ -1298,54 +1069,47 @@ let compare_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"STRATEGY"
            ~doc:"Strategies to compare (default: heuristic star homogeneous).")
   in
-  let simulate =
+  let measure =
     Arg.(value & flag & info [ "measure" ]
            ~doc:"Also measure each plan in the simulator.")
   in
-  let clients =
-    Arg.(value & opt int 150 & info [ "clients" ] ~docv:"N"
-           ~doc:"Client population for --measure.")
-  in
   Cmd.v
     (Cmd.info "compare" ~doc:"Plan with several strategies side by side")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategies $ simulate
-          $ clients)
+    Term.(const run $ platform_term $ dgemm_arg $ demand_arg $ strategies
+          $ measure $ clients_arg ~default:150 ~doc:"Client population for --measure.")
 
 (* ---------- improve ---------- *)
 
 let improve_cmd =
-  let run file n power bandwidth hetero seed dgemm xml xml_out =
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
+  let run (spec, _) dgemm xml xml_out =
+    let platform = or_exit (Render.platform_of_spec spec) in
+    let wapp = or_exit (Render.wapp_of_dgemm dgemm) in
     let tree = load_hierarchy platform xml in
-    (match Adept.Improver.improve params ~platform ~wapp tree with
-        | Error e -> exit_err e
-        | Ok r ->
-            let before = Adept.Evaluate.rho_on params ~platform ~wapp tree in
-            Printf.printf "rho %.2f -> %.2f req/s after %d change(s)%s\n" before
-              r.Adept.Improver.predicted_rho
-              (List.length r.Adept.Improver.steps)
-              (if r.Adept.Improver.converged then "" else " (iteration limit)");
-            List.iter
-              (fun (s : Adept.Improver.step) ->
-                let action =
-                  match s.Adept.Improver.action with
-                  | Adept.Improver.Added_server (srv, agent) ->
-                      Printf.sprintf "added server %d under agent %d" srv agent
-                  | Adept.Improver.Split_agent (agent, fresh) ->
-                      Printf.sprintf "split agent %d with new agent %d" agent fresh
-                  | Adept.Improver.Removed_server srv ->
-                      Printf.sprintf "removed server %d" srv
-                in
-                Printf.printf "  %s: %.2f -> %.2f req/s\n" action
-                  s.Adept.Improver.rho_before s.Adept.Improver.rho_after)
-              r.Adept.Improver.steps;
-            match xml_out with
-            | None -> print_string (Adept_hierarchy.Xml.to_string r.Adept.Improver.tree)
-            | Some path ->
-                Adept_hierarchy.Xml.save r.Adept.Improver.tree path;
-                Printf.printf "wrote improved hierarchy to %s\n" path)
+    let r = or_exit (Adept.Improver.improve Render.params ~platform ~wapp tree) in
+    let before = Adept.Evaluate.rho_on Render.params ~platform ~wapp tree in
+    Printf.printf "rho %.2f -> %.2f req/s after %d change(s)%s\n" before
+      r.Adept.Improver.predicted_rho
+      (List.length r.Adept.Improver.steps)
+      (if r.Adept.Improver.converged then "" else " (iteration limit)");
+    List.iter
+      (fun (s : Adept.Improver.step) ->
+        let action =
+          match s.Adept.Improver.action with
+          | Adept.Improver.Added_server (srv, agent) ->
+              Printf.sprintf "added server %d under agent %d" srv agent
+          | Adept.Improver.Split_agent (agent, fresh) ->
+              Printf.sprintf "split agent %d with new agent %d" agent fresh
+          | Adept.Improver.Removed_server srv ->
+              Printf.sprintf "removed server %d" srv
+        in
+        Printf.printf "  %s: %.2f -> %.2f req/s\n" action
+          s.Adept.Improver.rho_before s.Adept.Improver.rho_after)
+      r.Adept.Improver.steps;
+    match xml_out with
+    | None -> print_string (Adept_hierarchy.Xml.to_string r.Adept.Improver.tree)
+    | Some path ->
+        Adept_hierarchy.Xml.save r.Adept.Improver.tree path;
+        Printf.printf "wrote improved hierarchy to %s\n" path
   in
   let xml =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"HIERARCHY_XML"
@@ -1358,39 +1122,27 @@ let improve_cmd =
   Cmd.v
     (Cmd.info "improve"
        ~doc:"Iteratively remove the bottlenecks of an existing deployment")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ xml $ xml_out)
+    Term.(const run $ platform_term $ dgemm_arg $ xml $ xml_out)
 
 (* ---------- latency ---------- *)
 
 let latency_cmd =
-  let run file n power bandwidth hetero seed dgemm demand strategy rates =
-    let platform = build_platform file n power bandwidth hetero seed in
-    let wapp = Adept_workload.Dgemm.(mflops (make dgemm)) in
-    let strategy =
-      match Adept.Planner.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e -> exit_error e
+  let run (req, _) rates =
+    let { Render.platform; wapp; plan; _ } = or_exit (Render.planned req) in
+    Format.printf "%a@." Adept.Planner.pp_plan plan;
+    let rho = plan.Adept.Planner.predicted_rho in
+    let rates =
+      if rates <> [] then rates
+      else List.map (fun f -> f *. rho) [ 0.25; 0.5; 0.75; 0.9; 0.99 ]
     in
-    match
-      Adept.Planner.run strategy params ~platform ~wapp ~demand:(demand_of demand)
-    with
-    | Error e -> exit_error e
-    | Ok plan ->
-        Format.printf "%a@." Adept.Planner.pp_plan plan;
-        let rho = plan.Adept.Planner.predicted_rho in
-        let rates =
-          if rates <> [] then rates
-          else List.map (fun f -> f *. rho) [ 0.25; 0.5; 0.75; 0.9; 0.99 ]
-        in
-        let b = Adept_platform.Platform.uniform_bandwidth platform in
-        List.iter
-          (fun rate ->
-            Format.printf "%a@."
-              Adept.Latency.pp
-              (Adept.Latency.estimate params ~bandwidth:b ~wapp ~rate
-                 plan.Adept.Planner.tree))
-          rates
+    let b = Adept_platform.Platform.uniform_bandwidth platform in
+    List.iter
+      (fun rate ->
+        Format.printf "%a@."
+          Adept.Latency.pp
+          (Adept.Latency.estimate Render.params ~bandwidth:b ~wapp ~rate
+             plan.Adept.Planner.tree))
+      rates
   in
   let rates =
     Arg.(value & opt_all float [] & info [ "rate" ] ~docv:"REQS"
@@ -1398,8 +1150,7 @@ let latency_cmd =
   in
   Cmd.v
     (Cmd.info "latency" ~doc:"Estimate response time under load for a planned deployment")
-    Term.(const run $ platform_file $ nodes_arg $ power_arg $ bandwidth_arg
-          $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg $ strategy_arg $ rates)
+    Term.(const run $ request_term $ rates)
 
 (* ---------- experiment ---------- *)
 
@@ -1473,7 +1224,6 @@ let bench_node_cmd =
 
 module Serve = Adept_serve.Server
 module Query = Adept_serve.Client
-module Proto = Adept_serve.Protocol
 
 let address_arg =
   let doc =
@@ -1516,12 +1266,7 @@ let serve_cmd =
           match rules_file with
           | None -> base.Serve.rules
           | Some path -> (
-              let text =
-                match In_channel.with_open_text path In_channel.input_all with
-                | text -> text
-                | exception Sys_error e -> exit_err e
-              in
-              match Adept_obs.Rule.parse text with
+              match Adept_obs.Rule.parse (or_exit (read_file path)) with
               | Ok rules -> rules
               | Error e -> exit_err ("bad --rules file: " ^ e))
         in
@@ -1561,10 +1306,8 @@ let serve_cmd =
         (* With the live layer on the server already re-exported this
            file on every scrape and once more at teardown. *)
         if not obs_on then
-          Out_channel.with_open_text path (fun oc ->
-              Out_channel.output_string oc
-                (Adept_obs.Export.prometheus
-                   (Adept_obs.Registry.snapshot registry)));
+          write_file path
+            (Adept_obs.Export.prometheus (Adept_obs.Registry.snapshot registry));
         Printf.printf "wrote Prometheus text to %s\n" path)
       prom_out
   in
@@ -1659,18 +1402,6 @@ let serve_cmd =
           $ rules_file $ scrape_interval $ journal $ journal_segment_bytes
           $ journal_max_segments $ otlp)
 
-(* The query-side platform description: a catalog file is shipped inline
-   (the server may be remote), synthetic parameters go as-is. *)
-let spec_of file n power bandwidth hetero seed =
-  match file with
-  | Some path -> (
-      match In_channel.with_open_text path In_channel.input_all with
-      | text -> Proto.Catalog text
-      | exception Sys_error e -> exit_err e)
-  | None ->
-      Proto.Synthetic
-        { nodes = n; power; bandwidth; heterogeneous = hetero; seed }
-
 let query_call address request =
   (* always carry trace context: ids are the connection's request ids
      (deterministic, no RNG), servers without observability — and old
@@ -1686,19 +1417,10 @@ let query_call address request =
       | Ok resp -> resp)
 
 let query_plan_cmd =
-  let run address file n power bandwidth hetero seed dgemm demand strategy
-      no_cache =
-    let request =
-      Proto.Plan
-        {
-          Proto.spec = spec_of file n power bandwidth hetero seed;
-          dgemm;
-          demand;
-          strategy;
-          use_cache = not no_cache;
-        }
-    in
-    match query_call address request with
+  let run address (req, _) no_cache =
+    match
+      query_call address (Proto.Plan { req with Proto.use_cache = not no_cache })
+    with
     | Proto.Plan_ok { text; _ } -> print_string text
     | _ -> exit_err "server sent a mismatched response"
   in
@@ -1708,77 +1430,30 @@ let query_plan_cmd =
   in
   Cmd.v
     (Cmd.info "plan" ~doc:"Plan via the server; output matches `adept plan`")
-    Term.(const run $ address_arg $ platform_file $ nodes_arg $ power_arg
-          $ bandwidth_arg $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg
-          $ strategy_arg $ no_cache)
+    Term.(const run $ address_arg $ request_term $ no_cache)
 
 let query_replan_cmd =
-  let run address file n power bandwidth hetero seed dgemm demand strategy
-      failed =
-    let request =
-      Proto.Replan
-        {
-          Proto.r_spec = spec_of file n power bandwidth hetero seed;
-          r_dgemm = dgemm;
-          r_demand = demand;
-          r_strategy = strategy;
-          r_failed = failed;
-        }
-    in
-    match query_call address request with
+  let run address r =
+    match query_call address (Proto.Replan r) with
     | Proto.Replan_ok { text; _ } -> print_string text
     | _ -> exit_err "server sent a mismatched response"
-  in
-  let failed =
-    Arg.(value & pos_all int [] & info [] ~docv:"NODE_ID"
-           ~doc:"Ids of the failed nodes to plan around.")
   in
   Cmd.v
     (Cmd.info "replan"
        ~doc:"Replan via the server; output matches `adept replan`")
-    Term.(const run $ address_arg $ platform_file $ nodes_arg $ power_arg
-          $ bandwidth_arg $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg
-          $ strategy_arg $ failed)
+    Term.(const run $ address_arg $ replan_term)
 
 let query_observe_cmd =
-  let run address file n power bandwidth hetero seed dgemm demand strategy
-      clients warmup duration =
-    let request =
-      Proto.Observe
-        {
-          Proto.o_spec = spec_of file n power bandwidth hetero seed;
-          o_dgemm = dgemm;
-          o_demand = demand;
-          o_strategy = strategy;
-          o_seed = seed;
-          o_clients = clients;
-          o_warmup = warmup;
-          o_duration = duration;
-        }
-    in
-    match query_call address request with
+  let run address o =
+    match query_call address (Proto.Observe o) with
     | Proto.Observe_ok { text; _ } -> print_string text
     | _ -> exit_err "server sent a mismatched response"
-  in
-  let clients =
-    Arg.(value & opt int 100 & info [ "clients" ] ~docv:"N"
-           ~doc:"Closed-loop client population.")
-  in
-  let warmup =
-    Arg.(value & opt float 2.0 & info [ "warmup" ] ~docv:"SECONDS"
-           ~doc:"Simulated warm-up before measurement.")
-  in
-  let duration =
-    Arg.(value & opt float 4.0 & info [ "duration" ] ~docv:"SECONDS"
-           ~doc:"Simulated measurement window.")
   in
   Cmd.v
     (Cmd.info "observe"
        ~doc:"Instrumented simulation via the server; output matches `adept \
              observe`")
-    Term.(const run $ address_arg $ platform_file $ nodes_arg $ power_arg
-          $ bandwidth_arg $ hetero_arg $ seed_arg $ dgemm_arg $ demand_arg
-          $ strategy_arg $ clients $ warmup $ duration)
+    Term.(const run $ address_arg $ observe_term ())
 
 let print_stats (s : Proto.server_stats) =
   Printf.printf "requests: plan=%d replan=%d observe=%d stats=%d\n"
@@ -1851,8 +1526,7 @@ let query_trace_cmd =
     match out with
     | None -> print_string doc
     | Some path ->
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc doc);
+        write_file path doc;
         Printf.printf "wrote %s to %s\n" label path
   in
   let out =
@@ -1899,8 +1573,7 @@ let obs_replay_cmd =
     let stats = Adept_obs.Journal.stats reader in
     let t = Adept_obs.Replay.run ~cut records in
     let write path what content =
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc content);
+      write_file path content;
       Printf.printf "wrote %s to %s\n" what path
     in
     Option.iter

@@ -8,7 +8,7 @@
     same values — and the QCheck equivalence property in the test suite
     pins that claim against this module: for random platforms the pooled
     planner must return a bit-identical rho and a structurally equal tree.
-    Exposed to planners as [Planner.run ~strategy:Reference].
+    Only the tests call it; no planner strategy selects it.
 
     Do not optimize this module; its value is being the unoptimized
     original. *)

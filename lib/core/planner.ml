@@ -4,7 +4,6 @@ module Demand = Adept_model.Demand
 
 type strategy =
   | Heuristic
-  | Reference
   | Star
   | Balanced of int
   | Dary of int
@@ -15,7 +14,6 @@ type strategy =
 
 let rec strategy_name = function
   | Heuristic -> "heuristic"
-  | Reference -> "reference"
   | Star -> "star"
   | Balanced k -> Printf.sprintf "balanced:%d" k
   | Dary d -> Printf.sprintf "dary:%d" d
@@ -36,7 +34,6 @@ let rec strategy_of_string s =
   in
   match s with
   | "heuristic" -> Ok Heuristic
-  | "reference" -> Ok Reference
   | "star" -> Ok Star
   | "homogeneous" -> Ok Homogeneous_optimal
   | "exhaustive" -> Ok Exhaustive
@@ -81,11 +78,6 @@ let rec plan_tree strategy params ~platform ~wapp ~demand =
         (Result.map
            (fun (r : Heuristic.result) -> (r.tree, List.length r.probes))
            (Heuristic.plan params ~platform ~wapp ~demand))
-  | Reference ->
-      typed
-        (Result.map
-           (fun (r : Heuristic_reference.result) -> (r.tree, List.length r.probes))
-           (Heuristic_reference.plan params ~platform ~wapp ~demand))
   | Star -> typed (Result.map (fun t -> (t, 1)) (Baselines.star nodes))
   | Balanced k ->
       typed (Result.map (fun t -> (t, 1)) (Baselines.balanced ~agents:k nodes))

@@ -9,11 +9,6 @@ open Adept_hierarchy
 
 type strategy =
   | Heuristic  (** The paper's Algorithm 1 (heterogeneous heuristic). *)
-  | Reference
-      (** The frozen pre-{!Node_pool} implementation of Algorithm 1
-          ({!Heuristic_reference}) — the oracle the property-test
-          equivalence harness checks {!Heuristic} against.  Same
-          decisions, quadratic scans; do not use it for large platforms. *)
   | Star  (** One agent, every other node a server. *)
   | Balanced of int  (** The paper's balanced graph with this many middle agents. *)
   | Dary of int  (** Complete spanning d-ary tree of fixed degree. *)
@@ -26,7 +21,7 @@ type strategy =
 
 val strategy_name : strategy -> string
 val strategy_of_string : string -> (strategy, Error.t) Stdlib.result
-(** Parse ["heuristic"], ["reference"], ["star"], ["balanced:<k>"],
+(** Parse ["heuristic"], ["star"], ["balanced:<k>"],
     ["dary:<d>"], ["homogeneous"], ["exhaustive"], ["multi-cluster"], and
     ["improved:<strategy>"].  Unknown names are [Error.Invalid_input]. *)
 

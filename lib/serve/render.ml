@@ -1,27 +1,23 @@
-(* Executes protocol requests and renders their results as the exact
-   text the batch CLI prints.  This is the bit-for-bit contract of the
-   service: [adept query plan ...] piped through here must diff clean
-   against [adept plan ...], so every formatting decision below mirrors
-   bin/adept_cli.ml — same [Format] "@." line discipline, same
-   model-vs-report branch on link uniformity, same simulator wiring
-   (seed, registry counters, tracer) for observe.  When the CLI's
-   printing changes, this module must change with it; the CI smoke job
-   diffs the two paths to catch drift. *)
+(* Executes protocol requests and renders their results as text.  Both
+   front ends run here: [adept serve] answers [adept query] requests
+   with these functions, and the batch [adept plan]/[replan]/[observe]
+   build the same request records and call the same functions, so a
+   served answer equals the batch output by construction.  The CI smoke
+   job still diffs the two paths end to end. *)
 
 open Adept_platform
 module Dgemm = Adept_workload.Dgemm
 
-(* The CLI plans with the paper's calibrated DIET/Lyon parameters; the
-   server must too or no output could ever match. *)
+(* Every request is planned with the paper's calibrated DIET/Lyon
+   parameters. *)
 let params = Adept_model.Params.diet_lyon
 
 let ( let* ) = Result.bind
 
 let platform_of_spec = function
   | Protocol.Synthetic { nodes; power; bandwidth; heterogeneous; seed } -> (
-      (* Mirrors the CLI's [build_platform] for synthetic platforms;
-         generator preconditions (n >= 1, positive power) surface as
-         request errors, not server crashes. *)
+      (* generator preconditions (n >= 1, positive power) surface as
+         request errors, not crashes *)
       try
         if heterogeneous then
           let rng = Adept_util.Rng.create seed in
@@ -30,7 +26,8 @@ let platform_of_spec = function
                ~load_fraction:0.65 ~load_levels:4 ())
         else Ok (Generator.homogeneous ~bandwidth ~n:nodes ~power ())
       with Invalid_argument msg -> Error msg)
-  | Protocol.Catalog text -> Catalog.of_string text
+  | Protocol.Catalog text ->
+      Result.map_error (( ^ ) "cannot load platform: ") (Catalog.of_string text)
 
 let wapp_of_dgemm n =
   try Ok (Dgemm.mflops (Dgemm.make n))
@@ -68,12 +65,23 @@ let run_plan ?pool ?shards ?prof strategy ~platform ~wapp ~demand =
   in
   Result.map_error Adept.Error.to_string result
 
-let plan ?pool ?shards ?prof (p : Protocol.plan_params) =
+type planned = {
+  platform : Platform.t;
+  wapp : float;
+  strategy : Adept.Planner.strategy;
+  plan : Adept.Planner.plan;
+}
+
+let planned ?pool ?shards ?prof (p : Protocol.plan_params) =
   let* platform = platform_of_spec p.Protocol.spec in
   let* wapp = wapp_of_dgemm p.Protocol.dgemm in
   let* strategy = strategy_of_string p.Protocol.strategy in
   let demand = demand_of p.Protocol.demand in
   let* plan = run_plan ?pool ?shards ?prof strategy ~platform ~wapp ~demand in
+  Ok { platform; wapp; strategy; plan }
+
+let plan ?pool ?shards ?prof p =
+  let* { platform; wapp; plan; _ } = planned ?pool ?shards ?prof p in
   let text =
     Prof.time prof ~stage:"render" (fun () -> plan_text ~platform ~wapp plan)
   in
@@ -99,12 +107,24 @@ let replan (r : Protocol.replan_params) =
     in
     Ok (text, result.Adept.Planner.rho_after)
 
-let observe (o : Protocol.observe_params) =
-  let* platform = platform_of_spec o.Protocol.o_spec in
-  let* wapp = wapp_of_dgemm o.Protocol.o_dgemm in
-  let* strategy = strategy_of_string o.Protocol.o_strategy in
-  let demand = demand_of o.Protocol.o_demand in
-  let* plan = run_plan strategy ~platform ~wapp ~demand in
+type observed = {
+  text : string;
+  throughput : float;
+  registry : Adept_obs.Registry.t;
+  report : Adept_obs.Report.t;
+}
+
+let observed (o : Protocol.observe_params) =
+  let* { platform; wapp; strategy; plan } =
+    planned
+      {
+        Protocol.spec = o.Protocol.o_spec;
+        dgemm = o.Protocol.o_dgemm;
+        demand = o.Protocol.o_demand;
+        strategy = o.Protocol.o_strategy;
+        use_cache = true;
+      }
+  in
   let tree = plan.Adept.Planner.tree in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Format.asprintf "%a@." Adept.Planner.pp_plan plan);
@@ -144,4 +164,13 @@ let observe (o : Protocol.observe_params) =
        (Adept_obs.Tracer.dropped tracer));
   let report = Adept_obs.Report.build ~registry ~params ~platform ~wapp ~tree in
   Buffer.add_string buf (Adept_obs.Report.render report);
-  Ok (Buffer.contents buf, r.Adept_sim.Scenario.throughput)
+  Ok
+    {
+      text = Buffer.contents buf;
+      throughput = r.Adept_sim.Scenario.throughput;
+      registry;
+      report;
+    }
+
+let observe o =
+  Result.map (fun { text; throughput; _ } -> (text, throughput)) (observed o)

@@ -622,7 +622,7 @@ let test_planner_strategy_strings () =
       | Ok st -> Alcotest.(check string) "roundtrip" s (Planner.strategy_name st)
       | Error e -> Alcotest.fail (Error.to_string e))
     [
-      "heuristic"; "reference"; "star"; "balanced:14"; "dary:3"; "homogeneous";
+      "heuristic"; "star"; "balanced:14"; "dary:3"; "homogeneous";
       "exhaustive"; "multi-cluster"; "improved:star"; "improved:dary:3";
     ];
   Alcotest.(check bool) "unknown" true
@@ -633,7 +633,7 @@ let test_planner_strategy_strings () =
 let test_planner_run_all () =
   let platform = Generator.grid5000_lyon ~n:12 () in
   let strategies =
-    [ Planner.Heuristic; Planner.Reference; Planner.Star; Planner.Balanced 2;
+    [ Planner.Heuristic; Planner.Star; Planner.Balanced 2;
       Planner.Dary 3; Planner.Homogeneous_optimal; Planner.Multi_cluster;
       Planner.Improved Planner.Star ]
   in
