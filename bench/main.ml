@@ -8,6 +8,7 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe fig6 table4     # a subset
      dune exec bench/main.exe micro           # Bechamel microbenches
+     dune exec bench/main.exe micro --only scale/   # those named scale/...
      dune exec bench/main.exe all micro       # both
 
    The Bechamel suite has one Test.make per paper artefact, timing that
@@ -151,6 +152,30 @@ let bench_plan_100k =
          ignore
            (Adept.Heuristic.plan params ~platform:(Lazy.force platform)
               ~wapp:(dgemm 310) ~demand:Demand.unbounded)))
+
+let bench_plan_4000_loaded =
+  (* The served miss path at the e2e [large] workload's biggest size: the
+     platform the server generates for a heterogeneous synthetic spec
+     (730 MFlop/s nodes under four background-load levels, 1000 Mbit/s)
+     planned at DGEMM 310 through [Planner.run], which is what a
+     one-shard [Shard.plan] runs. *)
+  let platform =
+    lazy
+      (match
+         Srender.platform_of_spec
+           (Sproto.Synthetic
+              { nodes = 4000; power = 730.0; bandwidth = 1000.0; heterogeneous = true;
+                seed = 1 })
+       with
+      | Ok p -> p
+      | Error e -> failwith e)
+  in
+  Bechamel.Test.make ~name:"scale/plan-4000-nodes-loaded"
+    (Bechamel.Staged.stage (fun () ->
+         ignore
+           (Adept.Planner.run Adept.Planner.Heuristic params
+              ~platform:(Lazy.force platform) ~wapp:(dgemm 310)
+              ~demand:Demand.unbounded)))
 
 (* Twin pair: patching a 200-node hierarchy around a dead server versus
    replanning it from scratch — the wall-clock gap the controller's
@@ -969,21 +994,27 @@ let compare_against ~baseline_path ~baseline ~tolerance fresh =
   end
   else print_endline "bench: no regressions beyond tolerance"
 
-let run_micro () =
+(* [only] keeps the micros whose name starts with it; the merge in
+   [write_bench_json] leaves every other row of BENCH_sim.json as it
+   was. *)
+let run_micro ?(only = "") () =
   let open Bechamel in
   let benchmarks =
     Test.make_grouped ~name:"adept"
-      [
-        bench_table3; bench_fig2_3; bench_fig4_5; bench_table4; bench_fig6;
-        bench_fig7; bench_fault_sweep; bench_self_heal; bench_rollout;
-        bench_traced;
-        bench_scrape; bench_plan_2000; bench_window_ring; bench_window_naive;
-        bench_event_queue; bench_xml;
-        bench_plan_100k; bench_replan_incremental; bench_replan_full;
-        bench_serve_plan_cold; bench_serve_plan_cached;
-        bench_serve_plan_traced; bench_serve_plan_recorded;
-        bench_journal_append;
-      ]
+      (List.filter
+         (fun t -> String.starts_with ~prefix:only (Test.name t))
+         [
+           bench_table3; bench_fig2_3; bench_fig4_5; bench_table4; bench_fig6;
+           bench_fig7; bench_fault_sweep; bench_self_heal; bench_rollout;
+           bench_traced;
+           bench_scrape; bench_plan_2000; bench_window_ring; bench_window_naive;
+           bench_event_queue; bench_xml;
+           bench_plan_100k; bench_plan_4000_loaded; bench_replan_incremental;
+           bench_replan_full;
+           bench_serve_plan_cold; bench_serve_plan_cached;
+           bench_serve_plan_traced; bench_serve_plan_recorded;
+           bench_journal_append;
+         ])
   in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.5) ~kde:(Some 1000) () in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -1019,9 +1050,16 @@ let run_micro () =
   !entries
 
 let () =
+  let only = ref "" in
   let rec parse args against tolerance rest =
     match args with
     | "--against" :: file :: tl -> parse tl (Some file) tolerance rest
+    | "--only" :: prefix :: tl ->
+        only := prefix;
+        parse tl against tolerance rest
+    | "--only" :: [] ->
+        prerr_endline "bench: --only needs a micro name prefix";
+        exit 2
     | "--against" :: [] ->
         prerr_endline "bench: --against needs a file argument";
         exit 2
@@ -1057,7 +1095,7 @@ let () =
        the CI invocation gates against the committed copy of the same
        file it regenerates. *)
     let baseline = Option.map (fun p -> (p, read_bench_json p)) against in
-    let fresh = run_micro () in
+    let fresh = run_micro ~only:!only () in
     match baseline with
     | Some (baseline_path, baseline) ->
         compare_against ~baseline_path ~baseline ~tolerance fresh;

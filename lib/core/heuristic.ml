@@ -20,14 +20,68 @@ type result = {
   demand_met : bool;
 }
 
-(* Working representation during the level-by-level build.  [nkids]
-   mirrors [List.length kids] so capacity checks are O(1). *)
-type ag = { anode : Node.t; cap : int; mutable kids : kid list; mutable nkids : int }
-and kid = Kagent of ag | Kserver of Node.t
+(* Working representation during the level-by-level build.  Nodes are
+   named by their pool rank (index into the sorted array), so the
+   post-build passes can bucket them by rank instead of sorting.
+   [nkids] mirrors [List.length kids] so capacity checks are O(1). *)
+type ag = { rank : int; cap : int; mutable kids : kid list; mutable nkids : int }
+and kid = Kagent of ag | Kserver of int
 
-let rec tree_of_ag a =
-  Tree.agent a.anode
-    (List.rev_map (function Kagent c -> tree_of_ag c | Kserver s -> Tree.server s) a.kids)
+let rec tree_of_ag sorted a =
+  Tree.agent sorted.(a.rank)
+    (List.rev_map
+       (function Kagent c -> tree_of_ag sorted c | Kserver s -> Tree.server sorted.(s))
+       a.kids)
+
+(* The degree each agent of the build keeps through [Tree.normalize],
+   written to [degree.(rank)], or -1 where normalize demotes it to a
+   server: a non-root agent left with fewer than two children becomes a
+   server (a lone child moves up beside it).  Returns how many children
+   the agent contributes to its parent once normalized. *)
+let rec settle degree ~root a =
+  let k =
+    List.fold_left
+      (fun acc -> function
+        | Kserver _ -> acc + 1
+        | Kagent c -> acc + settle degree ~root:false c)
+      0 a.kids
+  in
+  if root || k >= 2 then begin
+    degree.(a.rank) <- k;
+    1
+  end
+  else begin
+    degree.(a.rank) <- -1;
+    1 + k
+  end
+
+(* Lightening's two orders read off pool ranks: agents power-descending
+   (ascending rank) with their degrees, servers power-ascending
+   (descending rank).  [degree] covers the build's agent ranks
+   [0, agents_end) as {!settle} left it; the ranks [agents_end, used)
+   are all servers and weaker than every demoted agent. *)
+let roles_by_rank sorted degree ~used =
+  let agents_end = Array.length degree in
+  let n_agents = Array.fold_left (fun n d -> if d >= 0 then n + 1 else n) 0 degree in
+  let agents = Array.make n_agents (sorted.(0), 0) in
+  let servers = Array.make (used - n_agents) sorted.(0) in
+  let a = ref 0 and s = ref 0 in
+  Array.iteri
+    (fun r d ->
+      if d >= 0 then begin
+        agents.(!a) <- (sorted.(r), d);
+        incr a
+      end)
+    degree;
+  let add_server r =
+    servers.(!s) <- sorted.(r);
+    incr s
+  in
+  for r = used - 1 downto agents_end do add_server r done;
+  for r = agents_end - 1 downto 0 do
+    if degree.(r) < 0 then add_server r
+  done;
+  (agents, servers)
 
 (* Agent lightening: the sorted order puts the strongest nodes in agent
    positions, but once the target [T] is fixed, any node whose Eq. 14
@@ -53,15 +107,16 @@ let lighten_slack = 4.0
    along the servers' power-ascending order (so a binary search finds the
    same first candidate a linear scan would), and a swap only exchanges
    the occupants of two positions — the degrees attached to agent
-   positions never change. *)
-let lighten_agents params ~bandwidth ~target tree =
-  let fuel = Tree.size tree in
+   positions never change.
+
+   [agents] (power-descending, with degrees) and [servers]
+   (power-ascending) arrive already in the reference's sort orders: the
+   caller reads them off pool ranks, and pool order is
+   [Node.compare_by_power_desc] order (see {!Node_pool}). *)
+let lighten_agents params ~bandwidth ~target ~agents ~servers tree =
+  let fuel = Array.length agents + Array.length servers in
   let cmp_agent (a, _) (b, _) = Node.compare_by_power_desc a b in
   let cmp_server a b = Node.compare_by_power_desc b a in
-  let agents = Array.of_list (Tree.agents_with_degree tree) in
-  let servers = Array.of_list (Tree.servers tree) in
-  Array.sort cmp_agent agents;
-  Array.sort cmp_server servers;
   let feasible_power power degree =
     Adept_model.Throughput.agent_sched params ~bandwidth ~power ~degree
     >= lighten_slack *. target
@@ -211,7 +266,7 @@ let build ?scratch params pool ~target =
        and the build bottoms out at [None] — skip the whole cascade. *)
     None
   else begin
-    let root = { anode = sorted.(0); cap = root_cap; kids = []; nkids = 0 } in
+    let root = { rank = 0; cap = root_cap; kids = []; nkids = 0 } in
     (* [q] is the next unused index in the sorted order. *)
     let rec level frontier q =
       let slots = List.fold_left (fun acc a -> acc + (a.cap - a.nkids)) 0 frontier in
@@ -252,7 +307,7 @@ let build ?scratch params pool ~target =
             let sfrom = q + j in
             let new_agents =
               List.init j (fun i ->
-                  { anode = sorted.(q + i); cap = cap_at (q + i); kids = []; nkids = 0 })
+                  { rank = q + i; cap = cap_at (q + i); kids = []; nkids = 0 })
             in
             distribute ~slots:frontier (List.map (fun a -> Kagent a) new_agents);
             (* Guarantee two servers per new agent before balancing the rest. *)
@@ -263,7 +318,7 @@ let build ?scratch params pool ~target =
                   if idx + 1 >= sfrom + count then
                     invalid_arg "Heuristic.build: seeding underflow"
                   else begin
-                    a.kids <- Kserver sorted.(idx + 1) :: Kserver sorted.(idx) :: a.kids;
+                    a.kids <- Kserver (idx + 1) :: Kserver idx :: a.kids;
                     a.nkids <- a.nkids + 2;
                     seed more (idx + 2)
                   end
@@ -271,10 +326,10 @@ let build ?scratch params pool ~target =
             let rest_from = seed new_agents sfrom in
             let rest = ref [] in
             for i = sfrom + count - 1 downto rest_from do
-              rest := Kserver sorted.(i) :: !rest
+              rest := Kserver i :: !rest
             done;
             distribute ~slots:(frontier @ new_agents) !rest;
-            Some root
+            Some (sfrom, sfrom + count)
         | `No_finish ->
             (* Commit a full level: every remaining slot becomes an agent,
                then grow the next level (nodes without capacity for two
@@ -293,7 +348,7 @@ let build ?scratch params pool ~target =
               let new_agents =
                 List.init takeable (fun i ->
                     let idx = q + i in
-                    { anode = sorted.(idx); cap = cap_at idx; kids = []; nkids = 0 })
+                    { rank = idx; cap = cap_at idx; kids = []; nkids = 0 })
               in
               distribute ~slots:frontier (List.map (fun a -> Kagent a) new_agents);
               level new_agents (q + takeable)
@@ -302,10 +357,17 @@ let build ?scratch params pool ~target =
     in
     match level [ root ] 1 with
     | None -> None
-    | Some root ->
+    | Some (agents_end, used) ->
+        (* The build takes a prefix of the pool: agents are the ranks
+           [0, agents_end), servers [agents_end, used).  Normalization
+           demotes some agents; reading both roles off the ranks yields
+           them already in lightening order, with no sort. *)
+        let degree = Array.make agents_end 0 in
+        ignore (settle degree ~root:true root);
+        let agents, servers = roles_by_rank sorted degree ~used in
         Some
-          (lighten_agents params ~bandwidth ~target
-             (Tree.normalize (tree_of_ag root)))
+          (lighten_agents params ~bandwidth ~target ~agents ~servers
+             (Tree.normalize (tree_of_ag sorted root)))
   end
 
 let build_for_target params ~platform ~wapp ~target =

@@ -6,6 +6,9 @@ type t = {
   bandwidth : float;
   wapp : float;
   sorted : Node.t array;
+  (* rate.(i) = power /. wapp of sorted.(i): the Eq. 15 service term the
+     scans and prefix sums add, computed once per pool. *)
+  rate : float array;
   server_sched : float array;
   (* Prefix sums of the Eq. 15 service terms over the rest
      (sorted.(1..n-1)), anchored at index 1 and accumulated in exactly
@@ -27,6 +30,7 @@ type t = {
 let create params ~bandwidth ~wapp nodes =
   let sorted = Array.of_list (Sched_power.sort_nodes params ~bandwidth nodes) in
   let n = Array.length sorted in
+  let rate = Array.map (fun node -> Node.power node /. wapp) sorted in
   let server_sched =
     Array.map (fun node -> Sched_power.server params ~bandwidth ~node) sorted
   in
@@ -34,7 +38,7 @@ let create params ~bandwidth ~wapp nodes =
   let rate_rest = Array.make (n + 1) 0.0 in
   for i = 1 to n - 1 do
     ratio_rest.(i + 1) <- ratio_rest.(i) +. (params.Params.server.wpre /. wapp);
-    rate_rest.(i + 1) <- rate_rest.(i) +. (Node.power sorted.(i) /. wapp)
+    rate_rest.(i + 1) <- rate_rest.(i) +. rate.(i)
   done;
   let class_of = Array.make (max n 1) 0 in
   let classes = ref 0 in
@@ -47,6 +51,7 @@ let create params ~bandwidth ~wapp nodes =
     bandwidth;
     wapp;
     sorted;
+    rate;
     server_sched;
     ratio_rest;
     rate_rest;
@@ -100,6 +105,7 @@ let min_servers t ~target ~usable ~from ~cap =
   if budget <= 0.0 then Infeasible
   else begin
     let wpre = t.params.Params.server.wpre in
+    let inv = 1.0 /. t.wapp in
     (* The reference scans every index from [from], skipping unusable
        nodes without touching the sums.  Unusable nodes form a suffix
        ([usable] is the boundary), so stopping the scan at [usable] sees
@@ -110,44 +116,44 @@ let min_servers t ~target ~usable ~from ~cap =
        so the scan can stop without changing any decision.  The scan
        consumes every index in [from, usable), so the answer is fully
        described by its length — the caller reads the nodes straight off
-       the sorted array instead of a freshly consed list (the per-probe
-       allocation that dominated the 100k-node profile). *)
-    let rec scan i sum_rate sum_inv count =
-      let numer = 1.0 +. (wpre *. sum_inv) in
-      if sum_rate > 0.0 && numer /. sum_rate <= budget then Servers count
-      else if count > cap then Overflow
-      else if i >= usable then Infeasible
-      else
-        scan (i + 1)
-          (sum_rate +. (Node.power t.sorted.(i) /. t.wapp))
-          (sum_inv +. (1.0 /. t.wapp))
-          (count + 1)
-    in
-    scan (max from 0) 0.0 0.0 0
+       the sorted array instead of a freshly consed list.
+
+       A [while] loop over local float refs keeps the sums unboxed (a
+       recursive scan boxes both floats on every step, which dominated
+       the minor allocation of a served plan).  [rate.(i)] and [inv] are
+       the very quotients the reference computes inline, and they are
+       added in the same order, so every comparison sees the same
+       floats. *)
+    let i = ref (max from 0) and count = ref 0 in
+    let sum_rate = ref 0.0 and sum_inv = ref 0.0 in
+    let verdict = ref Infeasible and scanning = ref true in
+    while !scanning do
+      if !sum_rate > 0.0 && (1.0 +. (wpre *. !sum_inv)) /. !sum_rate <= budget then begin
+        verdict := Servers !count;
+        scanning := false
+      end
+      else if !count > cap then begin
+        verdict := Overflow;
+        scanning := false
+      end
+      else if !i >= usable then scanning := false
+      else begin
+        sum_rate := !sum_rate +. t.rate.(!i);
+        sum_inv := !sum_inv +. inv;
+        incr count;
+        incr i
+      end
+    done;
+    !verdict
   end
 
+(* [min_servers ~from:1] without a cap: whether any prefix of the usable
+   rest reaches the target service power.  If not, no scan from a later
+   index can either — a suffix's usable set is pointwise weaker at every
+   count, its numerator is count-determined and identical, so its
+   condition is harder at every step — and the whole build is
+   infeasible. *)
 let feasible t ~target ~usable =
-  (* [min_servers ~from:1] without materializing the prefix: whether any
-     prefix of the usable rest reaches the target service power.  If not,
-     no scan from a later index can either — a suffix's usable set is
-     pointwise weaker at every count, its numerator is count-determined
-     and identical, so its condition is harder at every step — and the
-     whole build is infeasible. *)
-  let comm =
-    (t.params.Params.server.sreq +. t.params.Params.server.srep) /. t.bandwidth
-  in
-  let budget = (1.0 /. target) -. comm in
-  if budget <= 0.0 then false
-  else begin
-    let wpre = t.params.Params.server.wpre in
-    let rec scan i sum_rate sum_inv =
-      let numer = 1.0 +. (wpre *. sum_inv) in
-      if sum_rate > 0.0 && numer /. sum_rate <= budget then true
-      else if i >= usable then false
-      else
-        scan (i + 1)
-          (sum_rate +. (Node.power t.sorted.(i) /. t.wapp))
-          (sum_inv +. (1.0 /. t.wapp))
-    in
-    scan 1 0.0 0.0
-  end
+  match min_servers t ~target ~usable ~from:1 ~cap:max_int with
+  | Servers _ -> true
+  | Overflow | Infeasible -> false

@@ -16,11 +16,18 @@
       the generators actually produce (a handful of discrete load
       levels), so capacity lookups memoize per class instead of per node.
 
+    Pool order is power order: the sort key is FP-monotone in power and
+    ties break on {!Node.compare_by_power_desc}, so {!nodes} is strictly
+    in that comparator's order and a node's rank orders it by power
+    (agent lightening reads its power-sorted role arrays off ranks).
+
     Every accelerated query is {e decision-identical} to the reference
     scan it replaces: the same floats reach the same comparisons (see the
     monotonicity notes inline and DESIGN.md "Planner internals"); the
     QCheck equivalence property enforces this against
-    {!Heuristic_reference}. *)
+    {!Heuristic_reference}.  The service scans run allocation-free over a
+    precomputed [power /. wapp] array, adding the same quotients in the
+    same order as the reference. *)
 
 open Adept_platform
 
@@ -35,7 +42,8 @@ val node : t -> int -> Node.t
 (** The i-th node in scheduling-power order (0 = most agent-worthy). *)
 
 val nodes : t -> Node.t array
-(** The backing sorted array — callers must not mutate it. *)
+(** The backing sorted array, strictly in {!Node.compare_by_power_desc}
+    order — callers must not mutate it. *)
 
 val bandwidth : t -> float
 val wapp : t -> float

@@ -35,9 +35,10 @@
    The hard invariant: observability never changes answers.  Requests
    are parsed, planned, cached and answered identically with [obs]
    absent, and sampling is a deterministic hash of the client-sent
-   trace id (no RNG is consulted).  With [obs = None] the loop blocks
-   indefinitely in select exactly as before, so golden transcripts of
-   an untraced server stay byte-identical.
+   trace id (no RNG is consulted).  With [obs = None] nothing but
+   requests and worker completions wakes the loop (plus an idle tick
+   that only rechecks the stop flag), so golden transcripts of an
+   untraced server stay byte-identical.
 
    Draining: on SIGINT/SIGTERM (or after [max_requests] dispatches) the
    listener closes, in-flight work finishes and is answered, then
@@ -259,6 +260,9 @@ type t = {
   listener : Unix.file_descr;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  read_buf : Bytes.t;
+      (** every connection's reads land here; only the event loop reads,
+          and {!Wire.feed_bytes} copies out before the next read *)
   mutable conns : conn list;
   mutable next_conn : int;
   mutable inflight : inflight list;
@@ -440,6 +444,7 @@ let create (config : config) =
     listener = listen_socket config.address;
     wake_r;
     wake_w;
+    read_buf = Bytes.create 65536;
     conns = [];
     next_conn = 1;
     inflight = [];
@@ -1127,14 +1132,14 @@ let read_conn t conn =
   | Some o when Float.is_nan conn.frame_start ->
       conn.frame_start <- o.o_now ()
   | _ -> ());
-  let buf = Bytes.create 65536 in
+  let buf = t.read_buf in
   match Unix.read conn.fd buf 0 (Bytes.length buf) with
   | 0 ->
       (* Clean or mid-frame EOF: either way the stream is over.  Any
          unanswered frame dies with it — the client is gone. *)
       close_conn t conn
   | n ->
-      Wire.feed conn.reader (Bytes.sub_string buf 0 n) 0 n;
+      Wire.feed_bytes conn.reader buf 0 n;
       let rec drain_frames () =
         if conn.alive then
           match Wire.step conn.reader with
@@ -1300,6 +1305,10 @@ let should_drain t =
      | Some m -> t.dispatched >= m
      | None -> false
 
+(* How long a stop signal can sit recorded but unhandled; see the
+   select timeout in [serve]. *)
+let stop_poll_s = 0.1
+
 let install_signal_handlers t =
   let handler _ =
     Atomic.set stop_requested true;
@@ -1335,16 +1344,19 @@ let serve t =
       (if !accepting then [ t.listener ] else [])
       @ (t.wake_r :: List.map (fun c -> c.fd) t.conns)
     in
-    (* With observability off the select blocks indefinitely — exactly
-       the pre-observability server.  With it on, the timeout is the
-       time to the next scrape (manual clocks are driven by events, not
-       the wall, so they keep the indefinite block). *)
+    (* The select never sleeps past [stop_poll_s].  The OCaml signal
+       handler that pokes the self-pipe runs only when some domain next
+       polls: a SIGTERM taken by a worker thread parked in
+       [Condition.wait], or by this thread just before it enters the
+       select, is recorded but not handled, and an unbounded select
+       would sleep through it.  The timeout is also cut to the next
+       scrape when observability runs on a wall clock (manual clocks
+       are driven by events, not the wall). *)
     let timeout =
       match t.obs with
-      | None -> -1.0
-      | Some o ->
-          if Clock.is_manual o.o_cfg.clock then -1.0
-          else Float.max 0.001 (o.o_next_scrape -. o.o_now ())
+      | Some o when not (Clock.is_manual o.o_cfg.clock) ->
+          Float.min stop_poll_s (Float.max 0.001 (o.o_next_scrape -. o.o_now ()))
+      | Some _ | None -> stop_poll_s
     in
     (match Unix.select read_fds [] [] timeout with
     | ready, _, _ ->

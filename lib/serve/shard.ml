@@ -67,58 +67,48 @@ let rec retranslate mapping = function
    the hint.  Shard 0 holds the globally strongest node (round-robin
    over the sorted order), so its candidate contributes the merged
    root. *)
-let shard_hint ?prof pool ~shards params npool ~wapp ~demand =
+let shard_hint ?prof pool ~k params npool ~wapp ~demand =
   let sorted = Adept.Node_pool.nodes npool in
   let n = Array.length sorted in
-  let k = max 1 (min shards (n / 2)) in
-  if k < 2 then (k, 0.0)
-  else begin
-    let buckets = Array.make k [] in
-    for i = n - 1 downto 0 do
-      buckets.(i mod k) <- sorted.(i) :: buckets.(i mod k)
-    done;
-    let bandwidth = Adept.Node_pool.bandwidth npool in
-    let link = Link.homogeneous ~bandwidth () in
-    let futures =
-      Array.mapi
-        (fun shard members ->
-          Domain_pool.submit pool (fun () ->
-              Prof.time prof ~stage:"shard" ~shard (fun () ->
-                  let sub, mapping = sub_platform ~link members in
-                  match
-                    Adept.Heuristic.plan params ~platform:sub ~wapp ~demand
-                  with
-                  | Ok r ->
-                      Some
-                        ( retranslate mapping r.Adept.Heuristic.tree,
-                          r.Adept.Heuristic.predicted_rho )
-                  | Error _ -> None)))
-        buckets
-    in
-    let candidates =
-      Array.to_list (Array.map Domain_pool.await futures) |> List.filter_map Fun.id
-    in
-    let best_shard_rho =
-      List.fold_left (fun acc (_, rho) -> Float.max acc rho) 0.0 candidates
-    in
-    let merged_rho =
-      match candidates with
-      | [] | [ _ ] -> 0.0
-      | (base, _) :: rest -> (
-          match base with
-          | Tree.Server _ -> 0.0
-          | Tree.Agent (root, kids) -> (
-              let merged =
-                Tree.agent root (kids @ List.map (fun (t, _) -> t) rest)
-              in
-              match
-                Adept.Evaluate.rho params ~bandwidth ~wapp merged
-              with
-              | rho -> rho
-              | exception _ -> 0.0))
-    in
-    (k, Float.max best_shard_rho merged_rho)
-  end
+  let buckets = Array.make k [] in
+  for i = n - 1 downto 0 do
+    buckets.(i mod k) <- sorted.(i) :: buckets.(i mod k)
+  done;
+  let bandwidth = Adept.Node_pool.bandwidth npool in
+  let link = Link.homogeneous ~bandwidth () in
+  let futures =
+    Array.mapi
+      (fun shard members ->
+        Domain_pool.submit pool (fun () ->
+            Prof.time prof ~stage:"shard" ~shard (fun () ->
+                let sub, mapping = sub_platform ~link members in
+                match Adept.Heuristic.plan params ~platform:sub ~wapp ~demand with
+                | Ok r ->
+                    Some
+                      ( retranslate mapping r.Adept.Heuristic.tree,
+                        r.Adept.Heuristic.predicted_rho )
+                | Error _ -> None)))
+      buckets
+  in
+  let candidates =
+    Array.to_list (Array.map Domain_pool.await futures) |> List.filter_map Fun.id
+  in
+  let best_shard_rho =
+    List.fold_left (fun acc (_, rho) -> Float.max acc rho) 0.0 candidates
+  in
+  let merged_rho =
+    match candidates with
+    | [] | [ _ ] -> 0.0
+    | (base, _) :: rest -> (
+        match base with
+        | Tree.Server _ -> 0.0
+        | Tree.Agent (root, kids) -> (
+            let merged = Tree.agent root (kids @ List.map (fun (t, _) -> t) rest) in
+            match Adept.Evaluate.rho params ~bandwidth ~wapp merged with
+            | rho -> rho
+            | exception _ -> 0.0))
+  in
+  Float.max best_shard_rho merged_rho
 
 (* Phase 2.5: simulate the driver's bisection with the hint as branch
    predictor, collecting the targets it would probe.  Mirrors the float
@@ -143,52 +133,62 @@ let predicted_targets ~search_hi ~hint =
 
 let plan ?(shards = 0) ?prof ~pool params ~platform ~wapp ~demand =
   let shards = if shards <= 0 then Domain_pool.size pool else shards in
-  match Adept.Heuristic.pool_of params ~platform ~wapp with
-  | None ->
-      (* Heterogeneous connectivity: let the sequential driver produce
-         its usual typed error. *)
-      (Adept.Planner.run Adept.Planner.Heuristic params ~platform ~wapp ~demand,
-       { shards_used = 1; hint = 0.0; speculated = 0; inline_probes = 0 })
-  | Some npool when Adept.Node_pool.size npool < 2 ->
-      (Adept.Planner.run Adept.Planner.Heuristic params ~platform ~wapp ~demand,
-       { shards_used = 1; hint = 0.0; speculated = 0; inline_probes = 0 })
-  | Some npool ->
-      let shards_used, hint =
-        shard_hint ?prof pool ~shards params npool ~wapp ~demand
-      in
-      let hi =
-        Float.min
-          (Adept.Node_pool.hi_sched npool)
-          (Float.min
-             (Adept.Node_pool.hi_service npool)
-             (Adept.Node_pool.hi_predict npool))
-      in
-      let search_hi = Demand.min_target demand hi in
-      let targets = predicted_targets ~search_hi ~hint in
-      let memo = Hashtbl.create 128 in
-      List.iter
-        (fun target ->
-          if not (Hashtbl.mem memo target) then
-            Hashtbl.replace memo target
-              (Domain_pool.submit pool (fun () ->
-                   Adept.Heuristic.probe params npool ~target)))
-        targets;
-      let inline_probes = ref 0 in
-      let probe ~target =
-        match Hashtbl.find_opt memo target with
-        | Some fut -> Domain_pool.await fut
-        | None ->
-            incr inline_probes;
-            Adept.Heuristic.probe params npool ~target
-      in
-      let result =
-        Prof.time prof ~stage:"replay" (fun () ->
-            Adept.Planner.run_with_probe probe params ~platform ~wapp ~demand)
-      in
-      ( result,
-        {
-          shards_used;
-          hint;
-          speculated = Hashtbl.length memo;
-          inline_probes = !inline_probes;
-        } )
+  (* Every shard keeps at least two nodes (an agent and a server). *)
+  let k = max 1 (min shards (Platform.size platform / 2)) in
+  let sequential () =
+    (* No hint to predict with: speculating would queue the whole
+       predicted trajectory and use about two of its probes, leaving the
+       rest as work ahead of the next request.  The bisection runs
+       every probe itself.  Heterogeneous connectivity lands here too, and
+       gets the sequential planner's usual typed error. *)
+    let result =
+      Prof.time prof ~stage:"replay" (fun () ->
+          Adept.Planner.run Adept.Planner.Heuristic params ~platform ~wapp ~demand)
+    in
+    let inline_probes =
+      match result with Ok p -> p.Adept.Planner.evaluations | Error _ -> 0
+    in
+    (result, { shards_used = 1; hint = 0.0; speculated = 0; inline_probes })
+  in
+  if k < 2 then sequential ()
+  else
+    match Adept.Heuristic.pool_of params ~platform ~wapp with
+    | None -> sequential ()
+    | Some npool ->
+        let hint = shard_hint ?prof pool ~k params npool ~wapp ~demand in
+        let hi =
+          Float.min
+            (Adept.Node_pool.hi_sched npool)
+            (Float.min
+               (Adept.Node_pool.hi_service npool)
+               (Adept.Node_pool.hi_predict npool))
+        in
+        let search_hi = Demand.min_target demand hi in
+        let targets = predicted_targets ~search_hi ~hint in
+        let memo = Hashtbl.create 128 in
+        List.iter
+          (fun target ->
+            if not (Hashtbl.mem memo target) then
+              Hashtbl.replace memo target
+                (Domain_pool.submit pool (fun () ->
+                     Adept.Heuristic.probe params npool ~target)))
+          targets;
+        let inline_probes = ref 0 in
+        let probe ~target =
+          match Hashtbl.find_opt memo target with
+          | Some fut -> Domain_pool.await fut
+          | None ->
+              incr inline_probes;
+              Adept.Heuristic.probe params npool ~target
+        in
+        let result =
+          Prof.time prof ~stage:"replay" (fun () ->
+              Adept.Planner.run_with_probe probe params ~platform ~wapp ~demand)
+        in
+        ( result,
+          {
+            shards_used = k;
+            hint;
+            speculated = Hashtbl.length memo;
+            inline_probes = !inline_probes;
+          } )

@@ -15,7 +15,9 @@ type diag = {
   shards_used : int;  (** Effective shard count after clamping. *)
   hint : float;  (** Best shard/merged candidate rho; 0 if none. *)
   speculated : int;  (** Probes precomputed from the predicted trajectory. *)
-  inline_probes : int;  (** Replay probes the memo missed (mispredictions). *)
+  inline_probes : int;
+      (** Replay probes the memo missed (mispredictions); every probe of
+          the plan when nothing was speculated. *)
 }
 
 val plan :
@@ -33,6 +35,9 @@ val plan :
     observation, never a planning input.
     [shards] defaults to the pool size; it is clamped to
     [platform size / 2] so every shard keeps at least two nodes (an
-    agent and a server).  Platforms the heuristic cannot shard
-    (heterogeneous connectivity, fewer than four nodes) fall back to the
-    sequential planner, reported as [shards_used = 1]. *)
+    agent and a server).  Below two shards (a one-worker pool, fewer
+    than four nodes) there is no hint to speculate from, and platforms
+    the heuristic cannot shard (heterogeneous connectivity) have no
+    pool: both run the sequential planner directly, still timed as the
+    ["replay"] stage, and report [shards_used = 1], [speculated = 0]
+    and [inline_probes] = the plan's evaluations. *)

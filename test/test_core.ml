@@ -843,6 +843,32 @@ let test_equivalence_two_node_boundary () =
       Alcotest.(check bool) "validates" true
         (Validate.is_valid ~platform:hetero r.Heuristic.tree)
 
+let test_equivalence_lightening_swaps () =
+  (* Served-style platforms where agent lightening really swaps: at
+     DGEMM 1000 the strongest node, the root, trades places with the
+     weakest server that can still schedule, so the plan's root is not
+     the strongest node.  The pooled planner reads lightening's sorted
+     role arrays off pool ranks; the reference sorts them. *)
+  List.iter
+    (fun n ->
+      let rng = Rng.create 3 in
+      let platform =
+        Generator.background_loaded ~bandwidth:1000.0 ~rng ~n ~power:730.0
+          ~load_fraction:0.65 ~load_levels:4 ()
+      in
+      let msg = Printf.sprintf "loaded%d " n in
+      check_equivalent ~msg platform (dgemm 1000) Demand.unbounded;
+      match Heuristic.plan params ~platform ~wapp:(dgemm 1000) ~demand:Demand.unbounded with
+      | Error e -> Alcotest.fail e
+      | Ok r ->
+          let strongest = List.hd (Platform.sorted_by_power_desc platform) in
+          let root =
+            match r.Heuristic.tree with Tree.Agent (a, _) | Tree.Server a -> a
+          in
+          Alcotest.(check bool) (msg ^ "root swapped off the strongest node") true
+            (Node.power root < Node.power strongest))
+    [ 60; 200 ]
+
 (* ---------- incremental replans ---------- *)
 
 let lyon_star_plan n =
@@ -1166,6 +1192,58 @@ let prop_pooled_matches_reference =
       | Error a, Error b -> a = b
       | Ok _, Error _ | Error _, Ok _ -> false)
 
+let prop_pool_in_power_order =
+  (* Pool order is [Node.compare_by_power_desc] order — strictly, since
+     ties break on the id — because the scheduling-power sort key is
+     FP-monotone in power.  Agent lightening relies on it to read its
+     power-sorted role arrays off pool ranks.  Families: every generator,
+     plus catalogs with many duplicate powers (id order among equals)
+     and with powers one ulp apart (where the sort keys may tie). *)
+  QCheck.Test.make ~count:200 ~name:"node pool is in strict power order"
+    QCheck.(triple (int_range 0 10_000) (int_range 1 300) (int_range 0 5))
+    (fun (seed, n, kind) ->
+      let rng = Rng.create seed in
+      let catalog power_of =
+        let lines =
+          List.init n (fun i ->
+              Printf.sprintf "node name=n%d power=%h cluster=c" i (power_of i))
+        in
+        match
+          Adept_platform.Catalog.of_string
+            (String.concat "\n" ("link homogeneous bandwidth=1000 latency=0" :: lines))
+        with
+        | Ok p -> p
+        | Error e -> failwith e
+      in
+      let platform =
+        match kind with
+        | 0 ->
+            Generator.uniform_heterogeneous ~bandwidth:1000.0 ~rng ~n ~power_min:100.0
+              ~power_max:1000.0 ()
+        | 1 -> Generator.grid5000_orsay ~rng ~n ()
+        | 2 -> Generator.homogeneous ~bandwidth:1000.0 ~n ~power:730.0 ()
+        | 3 ->
+            Generator.background_loaded ~bandwidth:1000.0 ~rng ~n ~power:730.0
+              ~load_fraction:0.65 ~load_levels:(1 + (seed mod 6)) ()
+        | 4 -> catalog (fun _ -> 100.0 *. float_of_int (1 + Rng.int rng 3))
+        | _ ->
+            catalog (fun _ ->
+                let rec ulps p k = if k = 0 then p else ulps (Float.succ p) (k - 1) in
+                ulps 730.0 (Rng.int rng 4))
+      in
+      let bandwidth = Rng.float_in rng 1.0 10_000.0 in
+      let pool =
+        Node_pool.create params ~bandwidth ~wapp:(dgemm (100 + (seed mod 900)))
+          (Platform.nodes platform)
+      in
+      let sorted = Node_pool.nodes pool in
+      let ordered = ref true in
+      for i = 0 to Array.length sorted - 2 do
+        if Node.compare_by_power_desc sorted.(i) sorted.(i + 1) >= 0 then
+          ordered := false
+      done;
+      !ordered)
+
 let prop_replan_incremental_within_slack =
   (* an accepted patch is within the configured slack of the
      survivor-platform upper bound, hence of anything a from-scratch
@@ -1337,6 +1415,8 @@ let () =
           Alcotest.test_case "orsay 200" `Quick test_equivalence_orsay;
           Alcotest.test_case "two-node boundary" `Quick
             test_equivalence_two_node_boundary;
+          Alcotest.test_case "lightening swaps" `Quick
+            test_equivalence_lightening_swaps;
         ] );
       ( "replan_incremental",
         [
@@ -1357,6 +1437,7 @@ let () =
             prop_heuristic_bounded_by_oracle;
             prop_dary_valid_and_spanning;
             prop_pooled_matches_reference;
+            prop_pool_in_power_order;
             prop_replan_incremental_within_slack;
           ] );
     ]

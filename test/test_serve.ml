@@ -712,7 +712,20 @@ let test_shard_diag () =
         Shard.plan ~shards:4 ~pool params ~platform:small ~wapp:(dgemm 310)
           ~demand:Demand.unbounded
       in
-      Alcotest.(check int) "fallback reports one shard" 1 diag.Shard.shards_used)
+      Alcotest.(check int) "fallback reports one shard" 1 diag.Shard.shards_used;
+      (* one shard gives no hint: nothing is speculated, the bisection
+         runs every probe itself *)
+      let result, diag =
+        Shard.plan ~shards:1 ~pool params ~platform ~wapp:(dgemm 310)
+          ~demand:Demand.unbounded
+      in
+      match result with
+      | Error e -> Alcotest.fail (Adept.Error.to_string e)
+      | Ok plan ->
+          Alcotest.(check int) "one shard" 1 diag.Shard.shards_used;
+          Alcotest.(check int) "nothing speculated" 0 diag.Shard.speculated;
+          Alcotest.(check int) "every probe inline" plan.Adept.Planner.evaluations
+            diag.Shard.inline_probes)
 
 (* ---------- live server ---------- *)
 
@@ -803,9 +816,8 @@ let () =
   | Some path -> run_as_server_child path
   | None -> ()
 
-let with_server ?(extra_env = []) f =
+let spawn_server_child ?(extra_env = []) () =
   let path = temp_socket_path () in
-  let addr = Server.Unix_socket path in
   let env =
     Array.append (Unix.environment ())
       (Array.of_list ((server_socket_var ^ "=" ^ path) :: extra_env))
@@ -815,6 +827,10 @@ let with_server ?(extra_env = []) f =
       [| Sys.executable_name |]
       env Unix.stdin Unix.stdout Unix.stderr
   in
+  (pid, Server.Unix_socket path)
+
+let with_server ?extra_env f =
+  let pid, addr = spawn_server_child ?extra_env () in
   let outcome =
     try Ok (f addr) with e -> Error (e, Printexc.get_raw_backtrace ())
   in
@@ -1011,6 +1027,46 @@ let test_mid_request_disconnect () =
       | Ok _ -> Alcotest.fail "expected Plan_ok"
       | Error e -> Alcotest.fail e);
       Client.close c)
+
+(* [Some status] once [pid] exits, [None] if it is still up after
+   [timeout] seconds. *)
+let wait_exit ~timeout pid =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+        if Unix.gettimeofday () > deadline then None
+        else begin
+          Unix.sleepf 0.001;
+          go ()
+        end
+    | _, status -> Some status
+  in
+  go ()
+
+let test_sigterm_drains_idle_server () =
+  (* SIGTERM alone must drain an idle server: the connection that shows
+     it is up stays open and silent, so nothing but the signal can wake
+     the loop.  The lost wakeup this pins needs the signal to land while
+     the server goes back to sleep after accepting that connection, so
+     the delay between connect and signal sweeps 0-200 us (spun, since
+     a sleep is coarser than the window). *)
+  for cycle = 1 to 200 do
+    let pid, addr = spawn_server_child () in
+    let fd = connect_raw addr in
+    let until = Unix.gettimeofday () +. (float_of_int (cycle mod 50) *. 4e-6) in
+    while Unix.gettimeofday () < until do () done;
+    Unix.kill pid Sys.sigterm;
+    let status = wait_exit ~timeout:1.0 pid in
+    close_quietly fd;
+    match status with
+    | Some (Unix.WEXITED 0) -> ()
+    | Some _ -> Alcotest.failf "cycle %d: server did not exit cleanly" cycle
+    | None ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "cycle %d: server still up 1 s after SIGTERM" cycle
+  done
 
 let test_client_call_no_cache () =
   (* use_cache:false bypasses the cache in both directions *)
@@ -2098,6 +2154,8 @@ let () =
           Alcotest.test_case "use_cache:false bypasses the cache" `Quick
             test_client_call_no_cache;
           Alcotest.test_case "address parsing" `Quick test_address_parsing;
+          Alcotest.test_case "SIGTERM drains an idle server" `Slow
+            test_sigterm_drains_idle_server;
         ] );
       ( "observability",
         [
