@@ -8,7 +8,6 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe fig6 table4     # a subset
      dune exec bench/main.exe micro           # Bechamel microbenches
-     dune exec bench/main.exe micro --only scale/   # those named scale/...
      dune exec bench/main.exe all micro       # both
 
    The Bechamel suite has one Test.make per paper artefact, timing that
@@ -994,27 +993,22 @@ let compare_against ~baseline_path ~baseline ~tolerance fresh =
   end
   else print_endline "bench: no regressions beyond tolerance"
 
-(* [only] keeps the micros whose name starts with it; the merge in
-   [write_bench_json] leaves every other row of BENCH_sim.json as it
-   was. *)
-let run_micro ?(only = "") () =
+let run_micro () =
   let open Bechamel in
   let benchmarks =
     Test.make_grouped ~name:"adept"
-      (List.filter
-         (fun t -> String.starts_with ~prefix:only (Test.name t))
-         [
-           bench_table3; bench_fig2_3; bench_fig4_5; bench_table4; bench_fig6;
-           bench_fig7; bench_fault_sweep; bench_self_heal; bench_rollout;
-           bench_traced;
-           bench_scrape; bench_plan_2000; bench_window_ring; bench_window_naive;
-           bench_event_queue; bench_xml;
-           bench_plan_100k; bench_plan_4000_loaded; bench_replan_incremental;
-           bench_replan_full;
-           bench_serve_plan_cold; bench_serve_plan_cached;
-           bench_serve_plan_traced; bench_serve_plan_recorded;
-           bench_journal_append;
-         ])
+      [
+        bench_table3; bench_fig2_3; bench_fig4_5; bench_table4; bench_fig6;
+        bench_fig7; bench_fault_sweep; bench_self_heal; bench_rollout;
+        bench_traced;
+        bench_scrape; bench_plan_2000; bench_window_ring; bench_window_naive;
+        bench_event_queue; bench_xml;
+        bench_plan_100k; bench_plan_4000_loaded; bench_replan_incremental;
+        bench_replan_full;
+        bench_serve_plan_cold; bench_serve_plan_cached;
+        bench_serve_plan_traced; bench_serve_plan_recorded;
+        bench_journal_append;
+      ]
   in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.5) ~kde:(Some 1000) () in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -1050,16 +1044,9 @@ let run_micro ?(only = "") () =
   !entries
 
 let () =
-  let only = ref "" in
   let rec parse args against tolerance rest =
     match args with
     | "--against" :: file :: tl -> parse tl (Some file) tolerance rest
-    | "--only" :: prefix :: tl ->
-        only := prefix;
-        parse tl against tolerance rest
-    | "--only" :: [] ->
-        prerr_endline "bench: --only needs a micro name prefix";
-        exit 2
     | "--against" :: [] ->
         prerr_endline "bench: --against needs a file argument";
         exit 2
@@ -1095,7 +1082,7 @@ let () =
        the CI invocation gates against the committed copy of the same
        file it regenerates. *)
     let baseline = Option.map (fun p -> (p, read_bench_json p)) against in
-    let fresh = run_micro ~only:!only () in
+    let fresh = run_micro () in
     match baseline with
     | Some (baseline_path, baseline) ->
         compare_against ~baseline_path ~baseline ~tolerance fresh;

@@ -262,7 +262,7 @@ type t = {
   wake_w : Unix.file_descr;
   read_buf : Bytes.t;
       (** every connection's reads land here; only the event loop reads,
-          and {!Wire.feed_bytes} copies out before the next read *)
+          and {!Wire.feed} copies out before the next read *)
   mutable conns : conn list;
   mutable next_conn : int;
   mutable inflight : inflight list;
@@ -1139,7 +1139,7 @@ let read_conn t conn =
          unanswered frame dies with it — the client is gone. *)
       close_conn t conn
   | n ->
-      Wire.feed_bytes conn.reader buf 0 n;
+      Wire.feed conn.reader (Bytes.unsafe_to_string buf) 0 n;
       let rec drain_frames () =
         if conn.alive then
           match Wire.step conn.reader with

@@ -35,12 +35,10 @@ let ensure r extra =
     r.buf <- grown
   end
 
-let feed_bytes r chunk off len =
+let feed r chunk off len =
   ensure r len;
-  Bytes.blit chunk off r.buf r.len len;
+  Bytes.blit_string chunk off r.buf r.len len;
   r.len <- r.len + len
-
-let feed r chunk off len = feed_bytes r (Bytes.unsafe_of_string chunk) off len
 
 type step =
   | Frame of string  (** one complete payload, removed from the buffer *)

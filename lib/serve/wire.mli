@@ -29,10 +29,6 @@ val reader : unit -> reader
 val feed : reader -> string -> int -> int -> unit
 (** [feed r chunk off len] appends [chunk.[off .. off+len-1]]. *)
 
-val feed_bytes : reader -> Bytes.t -> int -> int -> unit
-(** {!feed} from a byte buffer, which the caller may reuse as soon as
-    the call returns (the bytes are copied). *)
-
 type step =
   | Frame of string  (** one complete payload, removed from the buffer *)
   | Need_more  (** no complete frame buffered yet *)

@@ -1053,9 +1053,18 @@ let test_sigterm_drains_idle_server () =
      a sleep is coarser than the window). *)
   for cycle = 1 to 200 do
     let pid, addr = spawn_server_child () in
-    let fd = connect_raw addr in
-    let until = Unix.gettimeofday () +. (float_of_int (cycle mod 50) *. 4e-6) in
-    while Unix.gettimeofday () < until do () done;
+    let fd =
+      try
+        let fd = connect_raw addr in
+        let until = Unix.gettimeofday () +. (float_of_int (cycle mod 50) *. 4e-6) in
+        while Unix.gettimeofday () < until do () done;
+        fd
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid);
+        Printexc.raise_with_backtrace e bt
+    in
     Unix.kill pid Sys.sigterm;
     let status = wait_exit ~timeout:1.0 pid in
     close_quietly fd;
