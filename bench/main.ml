@@ -156,8 +156,8 @@ let bench_plan_4000_loaded =
   (* The served miss path at the e2e [large] workload's biggest size: the
      platform the server generates for a heterogeneous synthetic spec
      (730 MFlop/s nodes under four background-load levels, 1000 Mbit/s)
-     planned at DGEMM 310 through [Planner.run], which is what a
-     one-shard [Shard.plan] runs. *)
+     planned at DGEMM 310 through [Planner.run], which is what the
+     server runs. *)
   let platform =
     lazy
       (match
@@ -497,6 +497,22 @@ let bench_serve_plan_cached =
 let traced_plan_store =
   lazy (Adept_obs.Request_trace.create ~sample_rate:1.0 ~max_traces:8 ())
 
+(* The worker's stage samples as a span chain, as the server grafts them. *)
+let add_stage_spans traces h prof =
+  let module Rt = Adept_obs.Request_trace in
+  ignore
+    (List.fold_left
+       (fun parent (s : Sprof.sample) ->
+         let kind =
+           Rt.Stage
+             (match s.Sprof.ps_stage with
+             | "replay" -> Rt.Replay
+             | _ -> Rt.Render_reply)
+         in
+         Rt.add_span traces h ~parent ~kind ~node:(-1) ~start:s.Sprof.ps_start
+           ~stop:s.Sprof.ps_stop)
+       (-1) (Sprof.samples prof))
+
 let run_plan_traced () =
   let module Rt = Adept_obs.Request_trace in
   let traces = Lazy.force traced_plan_store in
@@ -509,21 +525,7 @@ let run_plan_traced () =
       (match Srender.plan ~prof serve_plan_params with
       | Ok (_text, _rho, _nodes_used) -> ()
       | Error e -> failwith e);
-      let parent = ref (-1) in
-      List.iter
-        (fun (s : Sprof.sample) ->
-          let kind =
-            Rt.Stage
-              (match s.Sprof.ps_stage with
-              | "shard" -> Rt.Shard_plan
-              | "replay" -> Rt.Replay
-              | _ -> Rt.Render_reply)
-          in
-          parent :=
-            Rt.add_span traces h ~parent:!parent ~kind
-              ~node:(max 0 s.Sprof.ps_shard) ~start:s.Sprof.ps_start
-              ~stop:s.Sprof.ps_stop)
-        (Sprof.samples prof);
+      add_stage_spans traces h prof;
       Rt.finish traces h ~now:(now ())
 
 let bench_serve_plan_traced =
@@ -564,21 +566,7 @@ let run_plan_recorded () =
       (match Srender.plan ~prof serve_plan_params with
       | Ok (_text, _rho, _nodes_used) -> ()
       | Error e -> failwith e);
-      let parent = ref (-1) in
-      List.iter
-        (fun (s : Sprof.sample) ->
-          let kind =
-            Rt.Stage
-              (match s.Sprof.ps_stage with
-              | "shard" -> Rt.Shard_plan
-              | "replay" -> Rt.Replay
-              | _ -> Rt.Render_reply)
-          in
-          parent :=
-            Rt.add_span traces h ~parent:!parent ~kind
-              ~node:(max 0 s.Sprof.ps_shard) ~start:s.Sprof.ps_start
-              ~stop:s.Sprof.ps_stop)
-        (Sprof.samples prof);
+      add_stage_spans traces h prof;
       let t1 = now () in
       let tr = Rt.finish_trace traces h ~now:t1 in
       ignore

@@ -30,6 +30,19 @@ let or_exit = function Ok v -> v | Error e -> exit_err e
    diagnostics here, at the edge. *)
 let or_exit_typed r = or_exit (Result.map_error Adept.Error.to_string r)
 
+(* The single [B] of the Eq. 16 model.  A platform with inter-cluster
+   links has none, and the commands that need one refuse it. *)
+let uniform_bandwidth ~command platform =
+  match
+    Adept_platform.Link.uniform_bandwidth (Adept_platform.Platform.link platform)
+  with
+  | Some b -> b
+  | None ->
+      or_exit_typed
+        (Error
+           (Adept.Error.invalid_input
+              "%s needs homogeneous connectivity (a single B)" command))
+
 let read_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> Ok text
@@ -423,7 +436,7 @@ let eval_cmd =
     let tree = load_hierarchy platform xml in
     Format.printf "%s@."
       (Adept.Evaluate.report Render.params
-         ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
+         ~bandwidth:(uniform_bandwidth ~command:"eval" platform)
          ~wapp tree)
   in
   let xml =
@@ -582,6 +595,7 @@ let trace_cmd =
       exit_err "--trace-sample-rate must be in [0, 1]";
     if slowest < 1 then exit_err "--slowest must be >= 1";
     let { Render.platform; wapp; plan; _ } = or_exit (Render.planned req) in
+    let bandwidth = uniform_bandwidth ~command:"trace" platform in
     let tree = plan.Adept.Planner.tree in
     Format.printf "%a@." Adept.Planner.pp_plan plan;
     let registry = Adept_obs.Registry.create () in
@@ -613,9 +627,7 @@ let trace_cmd =
             fam.Adept_obs.Registry.series
     in
     let predicted =
-      Adept.Evaluate.bottleneck_element Render.params
-        ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
-        ~wapp tree
+      Adept.Evaluate.bottleneck_element Render.params ~bandwidth ~wapp tree
     in
     let attribution =
       Adept_obs.Attribution.build ~store ~tree ~utilization ~predicted ()
@@ -1129,13 +1141,13 @@ let improve_cmd =
 let latency_cmd =
   let run (req, _) rates =
     let { Render.platform; wapp; plan; _ } = or_exit (Render.planned req) in
+    let b = uniform_bandwidth ~command:"latency" platform in
     Format.printf "%a@." Adept.Planner.pp_plan plan;
     let rho = plan.Adept.Planner.predicted_rho in
     let rates =
       if rates <> [] then rates
       else List.map (fun f -> f *. rho) [ 0.25; 0.5; 0.75; 0.9; 0.99 ]
     in
-    let b = Adept_platform.Platform.uniform_bandwidth platform in
     List.iter
       (fun rate ->
         Format.printf "%a@."
@@ -1239,7 +1251,7 @@ let parse_address s =
   | Error e -> exit_err ("bad --address: " ^ e)
 
 let serve_cmd =
-  let run address workers shards cache_capacity max_requests prom_out live
+  let run address workers cache_capacity max_requests prom_out live
       trace_sample_rate access_log rules_file scrape_interval journal
       journal_segment_bytes journal_max_segments otlp =
     let registry = Adept_obs.Registry.create () in
@@ -1295,7 +1307,6 @@ let serve_cmd =
       {
         Serve.address = parse_address address;
         workers;
-        shards;
         cache_capacity;
         max_requests;
         registry = Some registry;
@@ -1315,12 +1326,6 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N"
            ~doc:"Worker domains (default: this machine's recommended domain \
                  count minus one).")
-  in
-  let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Planner shards for the heuristic (default: the worker count). \
-                 Any value yields bit-identical plans; it only changes how the \
-                 work spreads across domains.")
   in
   let cache_capacity =
     Arg.(value & opt int 128 & info [ "cache-capacity" ] ~docv:"N"
@@ -1353,8 +1358,8 @@ let serve_cmd =
   let access_log =
     Arg.(value & opt (some string) None & info [ "access-log" ] ~docv:"FILE"
            ~doc:"Append one JSON line per served request: trace id, method, \
-                 platform digest, cache hit/miss, shard count, wall-clock \
-                 duration, status.  Implies live observability.")
+                 platform digest, cache hit/miss, wall-clock duration, \
+                 status.  Implies live observability.")
   in
   let rules_file =
     Arg.(value & opt (some string) None & info [ "rules" ] ~docv:"FILE"
@@ -1396,8 +1401,8 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the planner as a long-lived, concurrent, sharded service")
-    Term.(const run $ address_arg $ workers $ shards $ cache_capacity
+       ~doc:"Run the planner as a long-lived, concurrent service")
+    Term.(const run $ address_arg $ workers $ cache_capacity
           $ max_requests $ prom_out $ live $ trace_sample_rate $ access_log
           $ rules_file $ scrape_interval $ journal $ journal_segment_bytes
           $ journal_max_segments $ otlp)
@@ -1464,7 +1469,7 @@ let print_stats (s : Proto.server_stats) =
     s.Proto.cache_hits s.Proto.cache_misses s.Proto.cache_evictions
     s.Proto.cache_invalidations;
   Printf.printf "coalesced: %d\n" s.Proto.coalesced;
-  Printf.printf "workers: %d shards: %d\n" s.Proto.workers s.Proto.shards;
+  Printf.printf "workers: %d\n" s.Proto.workers;
   match s.Proto.live with
   | None -> ()
   | Some l ->
@@ -1543,7 +1548,7 @@ let query_trace_cmd =
     (Cmd.info "trace"
        ~doc:"Dump the server's slowest sampled requests as Chrome trace-event \
              JSON (open in Perfetto): frame read, parse, cache lookup, \
-             per-shard plan, replay, render and write spans per request")
+             plan (replay), render and write spans per request")
     Term.(const run $ address_arg $ out $ otlp)
 
 let query_cmd =

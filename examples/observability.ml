@@ -89,7 +89,9 @@ let () =
   in
   let predicted =
     Adept.Evaluate.bottleneck_element params
-      ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
+      ~bandwidth:(Option.get
+            (Adept_platform.Link.uniform_bandwidth
+               (Adept_platform.Platform.link platform)))
       ~wapp tree
   in
   let attribution =

@@ -31,7 +31,9 @@ let () =
   Format.printf "plan: %a@.@." Adept.Planner.pp_plan plan;
   Format.printf "%s@.@."
     (Adept.Evaluate.report params
-       ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
+       ~bandwidth:(Option.get
+            (Adept_platform.Link.uniform_bandwidth
+               (Adept_platform.Platform.link platform)))
        ~wapp plan.Adept.Planner.tree);
 
   (* 4. Print the hierarchy and its GoDIET XML. *)

@@ -40,7 +40,9 @@ let () =
   (* The model's diagnosis. *)
   (match
      Adept.Evaluate.bottleneck params
-       ~bandwidth:(Adept_platform.Platform.uniform_bandwidth platform)
+       ~bandwidth:(Option.get
+            (Adept_platform.Link.uniform_bandwidth
+               (Adept_platform.Platform.link platform)))
        ~wapp star
    with
   | `Agent_sched -> print_endline "diagnosis: the root agent is the bottleneck"

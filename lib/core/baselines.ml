@@ -1,13 +1,9 @@
 open Adept_hierarchy
 module Rng = Adept_util.Rng
 
-let star_with ~agent ~servers =
-  if servers = [] then Error "star: need at least one server"
-  else Ok (Tree.star agent servers)
-
 let star = function
   | [] | [ _ ] -> Error "star: need at least two nodes"
-  | agent :: servers -> star_with ~agent ~servers
+  | agent :: servers -> Ok (Tree.star agent servers)
 
 let balanced ~agents nodes =
   let n = List.length nodes in

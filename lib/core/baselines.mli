@@ -12,9 +12,6 @@ val star : Node.t list -> (Tree.t, string) result
 (** "One node acts as an agent and all the rest are directly connected to
     the agent node."  Fails with fewer than two nodes. *)
 
-val star_with : agent:Node.t -> servers:Node.t list -> (Tree.t, string) result
-(** Star with an explicit agent and server set. *)
-
 val balanced : agents:int -> Node.t list -> (Tree.t, string) result
 (** The paper's balanced graph: one top agent connected to [agents]
     middle agents, the remaining nodes distributed as evenly as possible

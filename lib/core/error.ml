@@ -28,7 +28,3 @@ let to_string = function
 let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let equal (a : t) (b : t) = a = b
-
-let is_fatal = function
-  | Invalid_input _ | Invalid_hierarchy _ -> true
-  | No_survivors | Insufficient_survivors _ | No_feasible_hierarchy _ -> false

@@ -39,9 +39,3 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
-
-val is_fatal : t -> bool
-(** True for errors a supervision loop should not retry
-    ([Invalid_input], [Invalid_hierarchy]); false for platform conditions
-    that may clear on their own (dead nodes recovering, more survivors
-    appearing). *)

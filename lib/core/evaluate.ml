@@ -22,9 +22,6 @@ let spec_of_tree ~wapp tree =
 let rho params ~bandwidth ~wapp tree =
   Throughput.platform params ~bandwidth (spec_of_tree ~wapp tree)
 
-let rho_on params ~platform ~wapp tree =
-  rho params ~bandwidth:(Platform.uniform_bandwidth platform) ~wapp tree
-
 let bottleneck params ~bandwidth ~wapp tree =
   Throughput.bottleneck params ~bandwidth (spec_of_tree ~wapp tree)
 
@@ -177,6 +174,11 @@ type element_cost = {
   ec_wpre_s : float;
   ec_service_s : float;
 }
+
+let rho_on params ~platform ~wapp tree =
+  match Link.uniform_bandwidth (Platform.link platform) with
+  | Some bandwidth -> rho params ~bandwidth ~wapp tree
+  | None -> rho_hetero params ~platform ~wapp tree
 
 let element_costs (params : Adept_model.Params.t) ~wapp tree =
   if wapp <= 0.0 || not (Float.is_finite wapp) then

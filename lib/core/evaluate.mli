@@ -16,8 +16,8 @@ val rho :
 
 val rho_on :
   Adept_model.Params.t -> platform:Platform.t -> wapp:float -> Tree.t -> float
-(** {!rho} with the platform's uniform bandwidth.
-    @raise Invalid_argument on heterogeneous connectivity. *)
+(** {!rho} with the platform's uniform bandwidth; {!rho_hetero} when
+    connectivity is heterogeneous. *)
 
 val bottleneck :
   Adept_model.Params.t ->

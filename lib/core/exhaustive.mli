@@ -13,11 +13,6 @@ open Adept_hierarchy
 val default_max_nodes : int
 (** 8 — a few hundred thousand trees, still fast. *)
 
-val enumerate : Node.t list -> Tree.t Seq.t
-(** All valid hierarchies using exactly the given nodes (every node used).
-    Children partitions are enumerated without regard to order, so
-    structurally identical trees appear once. *)
-
 val enumerate_subsets : Node.t list -> Tree.t Seq.t
 (** All valid hierarchies over every non-empty subset of the nodes. *)
 

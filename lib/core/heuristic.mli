@@ -52,7 +52,6 @@ type result = {
 }
 
 val plan :
-  ?probe:(target:float -> Tree.t option) ->
   Adept_model.Params.t ->
   platform:Platform.t ->
   wapp:float ->
@@ -61,30 +60,8 @@ val plan :
 (** Plan a deployment.  Errors: fewer than two nodes, non-positive [wapp],
     or heterogeneous connectivity (the model needs a single [B]).
     The returned tree always passes [Validate.check ~platform].
-
-    [?probe] replaces the internal per-target builder — every decision
-    (bisection order, candidate collection, tie-breaking) stays in this
-    driver, so a caller that answers each target with exactly what
-    {!probe} would return (e.g. from a memo filled concurrently by
-    worker domains) gets a bit-identical plan.  An override returning
-    anything else voids the equivalence guarantee. *)
-
-val probe :
-  Adept_model.Params.t -> Node_pool.t -> target:float -> Tree.t option
-(** One bisection probe against a prepared pool: the level-by-level
-    build (including normalization and agent lightening) at [target].
-    A pure function of its arguments over an immutable pool, safe to
-    call concurrently from several domains; the capacity scratch it
-    reuses is per-domain state ([Domain.DLS]). *)
-
-val pool_of :
-  Adept_model.Params.t ->
-  platform:Platform.t ->
-  wapp:float ->
-  Node_pool.t option
-(** The pool {!plan} would build internally — [None] on heterogeneous
-    connectivity.  Lets concurrent callers precompute {!probe} results
-    against the same sorted view the driver will use. *)
+    Each bisection probe's target depends on every earlier outcome, so
+    the search is one sequential loop. *)
 
 val plan_tree :
   Adept_model.Params.t ->
@@ -102,4 +79,5 @@ val build_for_target :
   Tree.t option
 (** The level-by-level builder for one target throughput, exposed for
     tests and ablations: [Some tree] whose model rho is >= [target] when
-    the platform can host it, [None] otherwise. *)
+    the platform can host it, [None] otherwise (including on
+    heterogeneous connectivity). *)

@@ -229,11 +229,15 @@ let build params ~bandwidth ~wapp ~target sorted =
   end
 
 let build_for_target params ~platform ~wapp ~target =
-  let bandwidth = Platform.uniform_bandwidth platform in
-  let sorted =
-    Array.of_list (Sched_power.sort_nodes params ~bandwidth (Platform.nodes platform))
-  in
-  if Array.length sorted < 2 then None else build params ~bandwidth ~wapp ~target sorted
+  match Link.uniform_bandwidth (Platform.link platform) with
+  | None -> None
+  | Some bandwidth ->
+      let sorted =
+        Array.of_list
+          (Sched_power.sort_nodes params ~bandwidth (Platform.nodes platform))
+      in
+      if Array.length sorted < 2 then None
+      else build params ~bandwidth ~wapp ~target sorted
 
 let plan params ~platform ~wapp ~demand =
   let n = Platform.size platform in

@@ -152,13 +152,14 @@ let remove_server tree ~server_id =
   else None
 
 let improve ?max_iterations params ~platform ~wapp tree =
-  match Validate.check ~platform tree with
-  | Error errs ->
+  match (Validate.check ~platform tree, Link.uniform_bandwidth (Platform.link platform)) with
+  | Error errs, _ ->
       Error
         ("improver: invalid input deployment: "
         ^ String.concat "; " (List.map Validate.error_to_string errs))
-  | Ok () ->
-      let bandwidth = Platform.uniform_bandwidth platform in
+  | Ok (), None ->
+      Error "improver: the model requires homogeneous connectivity (a single B)"
+  | Ok (), Some bandwidth ->
       let limit = Option.value ~default:(Platform.size platform) max_iterations in
       let rho tree = Evaluate.rho params ~bandwidth ~wapp tree in
       let rec climb tree steps iterations =

@@ -54,5 +54,7 @@ val improve :
     - prediction-limited: drop the offending server.
 
     Each step must strictly improve Eq. 16 rho or the climb stops (local
-    optimum).  The input tree must validate against the platform.
+    optimum).  The input tree must validate against the platform, and
+    the platform must have homogeneous connectivity (a single [B]);
+    otherwise the result is [Error].
     Default [max_iterations] is the platform size. *)

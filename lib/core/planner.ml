@@ -66,7 +66,8 @@ let ( let* ) = Result.bind
    candidate hierarchies the strategy evaluated, for the observability
    layer. *)
 let rec plan_tree strategy params ~platform ~wapp ~demand =
-  let nodes = Platform.sorted_by_power_desc platform in
+  (* Only the fixed-shape baselines take nodes strongest-first. *)
+  let nodes () = Platform.sorted_by_power_desc platform in
   let typed r =
     Result.map_error
       (fun reason -> Error.no_feasible ~strategy:(strategy_name strategy) "%s" reason)
@@ -78,10 +79,11 @@ let rec plan_tree strategy params ~platform ~wapp ~demand =
         (Result.map
            (fun (r : Heuristic.result) -> (r.tree, List.length r.probes))
            (Heuristic.plan params ~platform ~wapp ~demand))
-  | Star -> typed (Result.map (fun t -> (t, 1)) (Baselines.star nodes))
+  | Star -> typed (Result.map (fun t -> (t, 1)) (Baselines.star (nodes ())))
   | Balanced k ->
-      typed (Result.map (fun t -> (t, 1)) (Baselines.balanced ~agents:k nodes))
-  | Dary d -> typed (Result.map (fun t -> (t, 1)) (Baselines.dary ~degree:d nodes))
+      typed (Result.map (fun t -> (t, 1)) (Baselines.balanced ~agents:k (nodes ())))
+  | Dary d ->
+      typed (Result.map (fun t -> (t, 1)) (Baselines.dary ~degree:d (nodes ())))
   | Homogeneous_optimal ->
       typed
         (Result.map
@@ -133,16 +135,6 @@ let finish strategy params ~platform ~demand ~wapp (tree, evaluations) =
 let run strategy params ~platform ~wapp ~demand =
   let* pair = plan_tree strategy params ~platform ~wapp ~demand in
   finish strategy params ~platform ~demand ~wapp pair
-
-let run_with_probe probe params ~platform ~wapp ~demand =
-  let* pair =
-    Result.map_error
-      (fun reason -> Error.no_feasible ~strategy:(strategy_name Heuristic) "%s" reason)
-      (Result.map
-         (fun (r : Heuristic.result) -> (r.tree, List.length r.probes))
-         (Heuristic.plan ~probe params ~platform ~wapp ~demand))
-  in
-  finish Heuristic params ~platform ~demand ~wapp pair
 
 type replan_result = {
   replanned : plan;

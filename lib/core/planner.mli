@@ -57,20 +57,6 @@ val run :
     (strategies whose algorithm needs a single bandwidth — the heuristic,
     the degree search, [Improved] — still error there). *)
 
-val run_with_probe :
-  (target:float -> Tree.t option) ->
-  Adept_model.Params.t ->
-  platform:Platform.t ->
-  wapp:float ->
-  demand:Adept_model.Demand.t ->
-  (plan, Error.t) Stdlib.result
-(** {!run} for [Heuristic] with the per-target builder swapped out (see
-    {!Heuristic.plan}'s [?probe]): same validation, same [plan] record.
-    This is the entry point the sharded planning service feeds its
-    speculative probe memo through — when the override answers each
-    target with exactly what the internal builder would, the result is
-    bit-identical to [run Heuristic]. *)
-
 type replan_result = {
   replanned : plan;  (** New plan over the survivors, on original node ids. *)
   failed : Node.id list;  (** Sorted, deduplicated. *)

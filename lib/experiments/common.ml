@@ -45,8 +45,6 @@ let node_power = 730.0
 
 let lyon_bandwidth = 100.0
 
-let orsay_bandwidth = 1000.0
-
 let params = Adept_model.Params.diet_lyon
 
 let star_scenario ?faults ~dgemm ~servers ~seed () =

@@ -38,9 +38,6 @@ val node_power : float
 val lyon_bandwidth : float
 (** 100 Mbit/s (calibration site). *)
 
-val orsay_bandwidth : float
-(** 1000 Mbit/s (large heterogeneous site). *)
-
 val params : Adept_model.Params.t
 (** Table 3 constants. *)
 

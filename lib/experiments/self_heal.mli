@@ -17,7 +17,7 @@
     recovered on their own).
 
     The experiment also runs the canonical staged-rollout demo (see
-    {!rollout_scenario}) in both flavors under both enactment modes and
+    {!run_rollout}) in both flavors under both enactment modes and
     reports a direct-vs-canary comparison: deployment time, error rate
     during the swap, and rollback time. *)
 
@@ -70,22 +70,6 @@ type result = {
   horizon : float;
 }
 
-val rollout_scenario :
-  flavor:rollout_flavor ->
-  rollout:Adept_sim.Rollout.config ->
-  Adept_sim.Scenario.t * Adept_sim.Monitor.t * Adept_hierarchy.Tree.t
-(** The canonical staged-rollout demo, shared byte-for-byte by the
-    [adept rollout] CLI command, the golden-pinned timeline test and
-    this experiment: ten homogeneous 1000 Mbit nodes at 730 MFlop/s, a
-    d-ary-3 hierarchy, agent 1 lost at t=1.5s, a model-drift monitor
-    (0.25 s scrapes, 0.5 s hold) and a hysteresis controller (0.5 s
-    samples, 2 s window, threshold 0.75, hold 1 s, cooldown 2 s) staging
-    enactments per [rollout].  [Drift] additionally loses node 2 at
-    t=5.2s — inside the default bake window — so the drift never
-    resolves.  Run it with {!run_rollout}'s fixed workload (16 closed
-    clients, 0.5 s warmup, 12 s measured, seed 42) to reproduce the
-    golden timeline. *)
-
 val run_rollout :
   ?mode:Adept_sim.Rollout.mode ->
   ?canary_fraction:float ->
@@ -93,18 +77,20 @@ val run_rollout :
   flavor:rollout_flavor ->
   unit ->
   Adept_sim.Scenario.run_result * Adept_sim.Monitor.t * Adept_hierarchy.Tree.t
-(** {!rollout_scenario} under the canonical workload (defaults: [Canary]
-    mode with {!Adept_sim.Rollout.config}'s default fraction and bake
-    window).  The returned monitor holds the alert timeline that drove
+(** The canonical staged-rollout demo, shared byte-for-byte by the
+    [adept rollout] CLI command, the golden-pinned timeline test and
+    this experiment: ten homogeneous 1000 Mbit nodes at 730 MFlop/s, a
+    d-ary-3 hierarchy, agent 1 lost at t=1.5s, a model-drift monitor
+    (0.25 s scrapes, 0.5 s hold) and a hysteresis controller (0.5 s
+    samples, 2 s window, threshold 0.75, hold 1 s, cooldown 2 s) staging
+    enactments per the rollout config.  [Drift] additionally loses node
+    2 at t=5.2s — inside the default bake window — so the drift never
+    resolves.  It runs under a fixed workload (16 closed clients, 0.5 s
+    warmup, 12 s measured, seed 42; defaults: [Canary] mode with
+    {!Adept_sim.Rollout.config}'s default fraction and bake window).
+    The returned monitor holds the alert timeline that drove
     the rollout's verdict; the tree is the initial deployment (panel
     selectors for a dashboard). *)
-
-val rollout_point :
-  flavor:rollout_flavor ->
-  mode:Adept_sim.Rollout.mode ->
-  Adept_sim.Scenario.run_result ->
-  rollout_point
-(** Distil one comparison row from a {!run_rollout} result. *)
 
 val run : Common.context -> result
 

@@ -56,9 +56,6 @@ type launch_policy = {
   max_retries : int;  (** Additional attempts after the first. *)
 }
 
-val default_policy : launch_policy
-(** 0.5 s per attempt, no failures, 2 retries. *)
-
 type staged_outcome = {
   deployment : launched option;  (** [None] when the launch aborted. *)
   attempts : int;  (** Total launch attempts across all elements. *)

@@ -7,15 +7,13 @@ type error =
   | Duplicate_node of Node.t
   | Unknown_node of Node.t
 
-let pp_error ppf = function
-  | Root_is_server n -> Format.fprintf ppf "root %a is a server" Node.pp n
-  | Root_has_no_children n -> Format.fprintf ppf "root agent %a has no children" Node.pp n
+let error_to_string = function
+  | Root_is_server n -> Format.asprintf "root %a is a server" Node.pp n
+  | Root_has_no_children n -> Format.asprintf "root agent %a has no children" Node.pp n
   | Undersized_agent (n, d) ->
-      Format.fprintf ppf "non-root agent %a has %d child(ren); needs >= 2" Node.pp n d
-  | Duplicate_node n -> Format.fprintf ppf "node %a appears more than once" Node.pp n
-  | Unknown_node n -> Format.fprintf ppf "node %a is not on the platform" Node.pp n
-
-let error_to_string e = Format.asprintf "%a" pp_error e
+      Format.asprintf "non-root agent %a has %d child(ren); needs >= 2" Node.pp n d
+  | Duplicate_node n -> Format.asprintf "node %a appears more than once" Node.pp n
+  | Unknown_node n -> Format.asprintf "node %a is not on the platform" Node.pp n
 
 let errors ?platform tree =
   let errs = ref [] in

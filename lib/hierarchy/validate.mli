@@ -19,7 +19,6 @@ type error =
   | Duplicate_node of Node.t
   | Unknown_node of Node.t  (** Not on the supplied platform. *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val errors : ?platform:Platform.t -> Tree.t -> error list

@@ -11,8 +11,3 @@ let duration activity ~power ~bandwidth =
 
 let total activities ~power ~bandwidth =
   List.fold_left (fun acc a -> acc +. duration a ~power ~bandwidth) 0.0 activities
-
-let pp_activity ppf = function
-  | Send s -> Format.fprintf ppf "send %g Mbit" s
-  | Receive s -> Format.fprintf ppf "recv %g Mbit" s
-  | Compute w -> Format.fprintf ppf "compute %g MFlop" w

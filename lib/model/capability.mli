@@ -20,5 +20,3 @@ val duration : activity -> power:float -> bandwidth:float -> float
 val total : activity list -> power:float -> bandwidth:float -> float
 (** Serial execution time of a sequence of activities (the model's core
     assumption: activities never overlap on one resource). *)
-
-val pp_activity : Format.formatter -> activity -> unit

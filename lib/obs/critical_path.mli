@@ -27,10 +27,6 @@ val by_element : Request_trace.trace -> share list
     client/wire bucket -1 first).  On a fault-free trace the shares sum
     to {!Request_trace.duration} exactly up to float addition. *)
 
-val eq_label : Request_trace.kind -> string
-(** The model term a span kind realises, e.g. ["Wrep(d)/w (Eq. 3)"] or
-    ["sreq/B (Eqs. 1-2)"]. *)
-
 val render : Request_trace.trace -> string
 (** Multi-line human rendering of one trace: the chain with per-segment
     durations, nodes and model terms, then the per-element summary. *)

@@ -147,31 +147,6 @@ let csv families =
     families;
   !table
 
-let tracer_jsonl tracer =
-  let buf = Buffer.create 1024 in
-  (* Truncation made visible: a bounded buffer that overflowed says so
-     up front instead of silently exporting a prefix. *)
-  if Tracer.dropped tracer > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf "{\"type\":\"meta\",\"dropped\":%d}\n" (Tracer.dropped tracer));
-  List.iter
-    (fun item ->
-      (match (item : Tracer.item) with
-      | Tracer.Event { at; name; labels } ->
-          Buffer.add_string buf
-            (Printf.sprintf "{\"type\":\"event\",\"at\":%s,\"name\":%s,\"labels\":%s}"
-               (json_float at) (Label.json_string name) (Label.to_json labels))
-      | Tracer.Span { name; labels; start_at; end_at } ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"type\":\"span\",\"start\":%s,\"end\":%s,\"name\":%s,\"labels\":%s}"
-               (json_float start_at)
-               (match end_at with Some e -> json_float e | None -> "null")
-               (Label.json_string name) (Label.to_json labels)));
-      Buffer.add_char buf '\n')
-    (Tracer.items tracer);
-  Buffer.contents buf
-
 (* The line-level emitter is shared between the live path (feeding it
    [Alert.transitions]) and the flight-recorder replay (feeding it
    journalled transition records) so both produce identical bytes. *)

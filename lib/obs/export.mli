@@ -24,13 +24,6 @@ val csv : Registry.family list -> Adept_util.Csv.t
     [value] row; histograms get [count], [sum], [mean], [p50], [p95],
     [p99] and [max] rows. *)
 
-val tracer_jsonl : Tracer.t -> string
-(** One JSON object per trace item: events as
-    [{"type":"event","at":...,"name":...,"labels":{...}}], spans with
-    ["start"] / ["end"] (null while open).  If the bounded buffer
-    overflowed, the first line is [{"type":"meta","dropped":N}] so the
-    truncation is visible in the export. *)
-
 val alert_timeline_entries :
   (float * string * string * string * float) list -> string
 (** The alert-timeline line emitter on raw [(at, alert, severity,

@@ -99,9 +99,6 @@ let snapshot t =
     s_exemplar = t.exemplar;
   }
 
-let empty_snapshot ?alpha ?min_value ?max_value () =
-  snapshot (create ?alpha ?min_value ?max_value ())
-
 let merge a b =
   if a.s_alpha <> b.s_alpha then
     invalid_arg "Histogram.merge: snapshots have different alpha";

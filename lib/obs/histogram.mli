@@ -28,9 +28,6 @@ val create : ?alpha:float -> ?min_value:float -> ?max_value:float -> unit -> t
 val record : t -> float -> unit
 (** O(1).  NaN is ignored. *)
 
-val record_n : t -> float -> int -> unit
-(** [record_n t v n] records [v] [n] times in O(1). *)
-
 val record_ex : t -> float -> trace_id:int -> unit
 (** [record] plus exemplar attachment: the histogram keeps the single
     largest [(value, trace_id)] pair it has seen, so an OTLP export can
@@ -43,8 +40,6 @@ type snapshot
     running [count], [sum], [min] and [max]. *)
 
 val snapshot : t -> snapshot
-
-val empty_snapshot : ?alpha:float -> ?min_value:float -> ?max_value:float -> unit -> snapshot
 
 val merge : snapshot -> snapshot -> snapshot
 (** @raise Invalid_argument if the two snapshots were built with

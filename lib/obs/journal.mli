@@ -51,7 +51,7 @@ type record =
       m_scrape_interval : float;
       m_retention : float;
       m_workers : int;
-      m_shards : int;
+      m_shards : int;  (** Always 1 from current servers. *)
     }  (** First record of a serving run: the observability config. *)
   | Begin_request of { b_at : float; b_trace : int; b_sampled : bool }
       (** A request arrived carrying a trace id. *)
@@ -106,8 +106,6 @@ val append : writer -> record -> int
     full, deleting the oldest beyond [max_segments]. *)
 
 val records_written : writer -> int
-
-val bytes_written : writer -> int
 
 val directory : writer -> string
 

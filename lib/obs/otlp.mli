@@ -19,21 +19,6 @@ val span_id_hex : trace:int -> span:int -> string
 (** A span id as OTLP's 16 lowercase hex chars, unique across the
     export: packs the trace id with the per-trace span index. *)
 
-val resource_spans :
-  ?resource:(string * string) list ->
-  ?conn_of:(int -> int option) ->
-  Request_trace.trace list ->
-  string
-(** One [resourceSpans] element covering every span of every given
-    trace.  [resource] becomes string resource attributes; [conn_of]
-    maps a trace id to the server connection that carried it, attached
-    as an [adept.conn.id] span attribute when known. *)
-
-val resource_metrics :
-  ?resource:(string * string) list -> at:float -> Registry.family list -> string
-(** One [resourceMetrics] element over a registry snapshot, with every
-    data point stamped [at] (seconds since the epoch). *)
-
 val document :
   ?resource:(string * string) list ->
   ?conn_of:(int -> int option) ->

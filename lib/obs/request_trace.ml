@@ -48,10 +48,6 @@ let kind_name = function
   | Compute s -> "compute." ^ step_name s
   | Stage s -> "serve." ^ stage_name s
 
-let message_of_kind = function
-  | Send m | Wire m | Recv m -> Some m
-  | Compute _ | Stage _ -> None
-
 (* Total order on kinds for deterministic aggregate listings. *)
 let message_rank = function
   | Submit -> 0

@@ -36,14 +36,17 @@ type step =
   | Service  (** Server application execution, Eq. 5. *)
 
 (** Stages of one planning-server request (the wall-clock serving path,
-    in causal order).  [Shard_plan] spans carry the shard index in
-    [sp_node]; every other stage uses node -1 (the serving process). *)
+    in causal order).  Stage spans use node -1 (the serving process),
+    except [Shard_plan] spans, which carry a shard index. *)
 type stage =
   | Frame_read  (** Socket read until the frame completed. *)
   | Parse  (** JSON decode of the request envelope. *)
   | Cache_lookup  (** Plan-fragment cache probe. *)
-  | Shard_plan  (** One per-shard hint computation on a worker domain. *)
-  | Replay  (** Sequential bisection replay over the memoized probes. *)
+  | Shard_plan
+      (** A per-shard hint computation.  Servers no longer record it;
+          it stays so that journals written by older servers decode
+          (stage code 3). *)
+  | Replay  (** The plan itself ([Planner.run]) on a worker domain. *)
   | Render_reply  (** Formatting the reply text. *)
   | Write_reply  (** Frame write back to the client. *)
 
@@ -57,8 +60,6 @@ type kind =
 val kind_name : kind -> string
 (** Stable [send.submit] / [compute.wrep] style names (used by the
     exporters and goldens). *)
-
-val message_of_kind : kind -> message option
 
 val kind_code : kind -> int
 (** A stable one-byte wire code for a kind (the flight recorder persists

@@ -26,8 +26,6 @@ val capacity : t -> int
 val oldest_time : t -> float option
 (** Time of the oldest {e retained} sample. *)
 
-val latest_time : t -> float option
-
 val find_at_or_before : t -> time:float -> (float * float) option
 (** Latest retained sample [(time', value)] with [time' <= time], by
     binary search.  [None] when every such sample has been pruned (or

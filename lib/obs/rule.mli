@@ -101,8 +101,6 @@ val max_window : t -> float
 (** Longest trailing window any sub-expression needs ([0.] if none) —
     the retention floor for the backing time-series store. *)
 
-val expr_to_string : expr -> string
-
 val to_string : t -> string
 (** Renders in the concrete syntax {!parse} accepts. *)
 

@@ -7,7 +7,6 @@ let l_strategy = "strategy"
 let l_alertname = "alertname"
 let l_alertstate = "alertstate"
 let l_severity = "severity"
-let l_component = "component"
 let l_step = "step"
 let l_method = "method"
 

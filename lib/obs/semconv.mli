@@ -8,9 +8,6 @@
 val l_node : string
 (** ["node"] — node id as a decimal string. *)
 
-val l_level : string
-(** ["level"] — hierarchy depth, root = 0. *)
-
 val l_kind : string
 (** ["kind"] — message kind: [sched_request] etc. *)
 
@@ -31,9 +28,6 @@ val l_alertstate : string
 
 val l_severity : string
 (** ["severity"] — alert severity: [info] / [warning] / [critical]. *)
-
-val l_component : string
-(** ["component"] — Eqs. 1-5 cost component a drift rule watches. *)
 
 val l_step : string
 (** ["step"] — staged-rollout transition name on

@@ -43,11 +43,6 @@ let link t = t.link
 
 let bandwidth t a b = Link.bandwidth t.link (node t a) (node t b)
 
-let uniform_bandwidth t =
-  match Link.uniform_bandwidth t.link with
-  | Some b -> b
-  | None -> invalid_arg "Platform.uniform_bandwidth: heterogeneous connectivity"
-
 let total_power t = Array.fold_left (fun acc n -> acc +. Node.power n) 0.0 t.nodes
 
 let is_homogeneous_compute t =

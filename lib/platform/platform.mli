@@ -24,12 +24,6 @@ val link : t -> Link.t
 val bandwidth : t -> Node.id -> Node.id -> float
 (** Link bandwidth between two nodes, Mbit/s. *)
 
-val uniform_bandwidth : t -> float
-(** The single [B] of a homogeneous-connectivity platform.
-    @raise Invalid_argument when connectivity is heterogeneous (the
-    planner's model requires homogeneous links; callers must check
-    {!Link.is_homogeneous} before planning on exotic platforms). *)
-
 val total_power : t -> float
 (** Sum of node powers, MFlop/s. *)
 

@@ -3,8 +3,7 @@
 
    OCaml 5 domains are heavyweight (one runtime per domain), so the pool
    is sized once at server start — never per request — and every unit of
-   CPU work (a whole request, or one speculative bisection probe inside
-   one) goes through [submit].  [await] HELPS: while its future is
+   CPU work (a whole request) goes through [submit].  [await] HELPS: while its future is
    unresolved it pulls queued tasks and runs them on the calling domain.
    That makes nested submission safe — a planning task running on a
    worker can fan out probe tasks and await them without deadlocking the

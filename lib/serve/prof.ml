@@ -1,9 +1,4 @@
-type sample = {
-  ps_stage : string;
-  ps_shard : int;
-  ps_start : float;
-  ps_stop : float;
-}
+type sample = { ps_stage : string; ps_start : float; ps_stop : float }
 
 type t = {
   now : unit -> float;
@@ -13,24 +8,22 @@ type t = {
 
 let create ~now = { now; mutex = Mutex.create (); samples = [] }
 
-let record t ~stage ~shard ~start ~stop =
+let record t ~stage ~start ~stop =
   Mutex.lock t.mutex;
-  t.samples <-
-    { ps_stage = stage; ps_shard = shard; ps_start = start; ps_stop = stop }
-    :: t.samples;
+  t.samples <- { ps_stage = stage; ps_start = start; ps_stop = stop } :: t.samples;
   Mutex.unlock t.mutex
 
-let time t ~stage ?(shard = -1) f =
+let time t ~stage f =
   match t with
   | None -> f ()
   | Some t -> (
       let start = t.now () in
       match f () with
       | v ->
-          record t ~stage ~shard ~start ~stop:(t.now ());
+          record t ~stage ~start ~stop:(t.now ());
           v
       | exception e ->
-          record t ~stage ~shard ~start ~stop:(t.now ());
+          record t ~stage ~start ~stop:(t.now ());
           raise e)
 
 let samples t =

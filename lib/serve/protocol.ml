@@ -101,7 +101,6 @@ type server_stats = {
   cache_invalidations : int;
   coalesced : int;
   workers : int;
-  shards : int;
   live : live_stats option;
 }
 
@@ -269,7 +268,6 @@ let json_of_stats s =
            ] );
        ("coalesced", Json.Int s.coalesced);
        ("workers", Json.Int s.workers);
-       ("shards", Json.Int s.shards);
      ]
     @ match s.live with None -> [] | Some l -> [ ("live", json_of_live l) ])
 
@@ -501,8 +499,7 @@ let decode_stats j =
       cache "evictions",
       cache "invalidations",
       top "coalesced",
-      top "workers",
-      top "shards" )
+      top "workers" )
   with
   | ( Some plan_requests,
       Some replan_requests,
@@ -514,8 +511,7 @@ let decode_stats j =
       Some cache_evictions,
       Some cache_invalidations,
       Some coalesced,
-      Some workers,
-      Some shards ) ->
+      Some workers ) ->
       Some
         {
           plan_requests;
@@ -529,7 +525,6 @@ let decode_stats j =
           cache_invalidations;
           coalesced;
           workers;
-          shards;
           live = Option.map decode_live (Json.member "live" j);
         }
   | _ -> None

@@ -113,7 +113,6 @@ type server_stats = {
   cache_invalidations : int;
   coalesced : int;
   workers : int;
-  shards : int;
   live : live_stats option;
 }
 (** Deterministic counters, plus a [live] wall-clock block present only

@@ -56,11 +56,11 @@ let plan_text ~platform ~wapp (plan : Adept.Planner.plan) =
   in
   head ^ body
 
-let run_plan ?pool ?shards ?prof strategy ~platform ~wapp ~demand =
+let run_plan ?prof strategy ~platform ~wapp ~demand =
   let result =
-    match (strategy, pool) with
-    | Adept.Planner.Heuristic, Some pool ->
-        fst (Shard.plan ?shards ?prof ~pool params ~platform ~wapp ~demand)
+    match strategy with
+    | Adept.Planner.Heuristic ->
+        fst (Shard.plan ?prof params ~platform ~wapp ~demand)
     | _ -> Adept.Planner.run strategy params ~platform ~wapp ~demand
   in
   Result.map_error Adept.Error.to_string result
@@ -72,16 +72,16 @@ type planned = {
   plan : Adept.Planner.plan;
 }
 
-let planned ?pool ?shards ?prof (p : Protocol.plan_params) =
+let planned ?prof (p : Protocol.plan_params) =
   let* platform = platform_of_spec p.Protocol.spec in
   let* wapp = wapp_of_dgemm p.Protocol.dgemm in
   let* strategy = strategy_of_string p.Protocol.strategy in
   let demand = demand_of p.Protocol.demand in
-  let* plan = run_plan ?pool ?shards ?prof strategy ~platform ~wapp ~demand in
+  let* plan = run_plan ?prof strategy ~platform ~wapp ~demand in
   Ok { platform; wapp; strategy; plan }
 
-let plan ?pool ?shards ?prof p =
-  let* { platform; wapp; plan; _ } = planned ?pool ?shards ?prof p in
+let plan ?prof p =
+  let* { platform; wapp; plan; _ } = planned ?prof p in
   let text =
     Prof.time prof ~stage:"render" (fun () -> plan_text ~platform ~wapp plan)
   in

@@ -27,16 +27,14 @@ val plan_text : platform:Platform.t -> wapp:float -> Adept.Planner.plan -> strin
     the heterogeneous-links rho line). *)
 
 val run_plan :
-  ?pool:Domain_pool.t ->
-  ?shards:int ->
   ?prof:Prof.t ->
   Adept.Planner.strategy ->
   platform:Platform.t ->
   wapp:float ->
   demand:Adept_model.Demand.t ->
   (Adept.Planner.plan, string) result
-(** Plan, sharding the heuristic across [pool] when given (bit-identical
-    by {!Shard.plan}'s replay); other strategies always run inline. *)
+(** Plan with [Planner.run]; the heuristic goes through {!Shard.plan},
+    which times it as [prof]'s ["replay"] stage. *)
 
 type planned = {
   platform : Platform.t;
@@ -48,8 +46,6 @@ type planned = {
     the batch CLI exports and simulates. *)
 
 val planned :
-  ?pool:Domain_pool.t ->
-  ?shards:int ->
   ?prof:Prof.t ->
   Protocol.plan_params ->
   (planned, string) result
@@ -57,13 +53,11 @@ val planned :
     plan it.  [use_cache] is not consulted: caching is the server's. *)
 
 val plan :
-  ?pool:Domain_pool.t ->
-  ?shards:int ->
   ?prof:Prof.t ->
   Protocol.plan_params ->
   (string * float * int, string) result
 (** Execute a plan request: [(text, predicted_rho, nodes_used)].
-    [prof] collects wall-clock shard/replay/render stage samples;
+    [prof] collects wall-clock replay/render stage samples;
     passing it never changes the produced bytes. *)
 
 val replan : Protocol.replan_params -> (string * float, string) result

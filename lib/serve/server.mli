@@ -23,8 +23,6 @@ val otlp_sink_of_string : string -> (otlp_sink, string) result
 (** ["tcp:<host>:<port>"], or any other non-empty string as a file
     path. *)
 
-val otlp_sink_to_string : otlp_sink -> string
-
 (** Wall-clock observability for a serving process.  The hard
     invariant: observability never changes answers — responses are
     byte-identical with it on or off, and trace sampling is a
@@ -64,18 +62,14 @@ val default_obs : unit -> obs_config
     events on, no flight recorder (4 MiB × 8 segments when enabled),
     no OTLP sink. *)
 
-val default_rules_text : string
-(** The built-in alert rules in {!Adept_obs.Rule.parse} syntax: p99
-    latency, queue depth, cache hit-ratio floor, and a two-window cache
-    miss burn rate. *)
-
 val default_rules : unit -> Adept_obs.Rule.t list
+(** The built-in alert rules: p99 latency, queue depth, cache hit-ratio
+    floor, and a two-window cache miss burn rate. *)
 
 type config = {
   address : address;
   workers : int option;
       (** Worker domains; default [Domain.recommended_domain_count - 1]. *)
-  shards : int option;  (** Planner shards; default = worker count. *)
   cache_capacity : int;  (** Plan cache entries (LRU). *)
   max_requests : int option;
       (** Drain and exit after this many dispatched requests — lets
@@ -90,7 +84,7 @@ type config = {
 }
 
 val default_config : address -> config
-(** Defaults: pool-sized workers and shards, 128 cache entries, no
+(** Defaults: pool-sized workers, 128 cache entries, no
     request bound, private registry, observability off. *)
 
 val run : config -> unit

@@ -203,8 +203,6 @@ let tree t = t.tree
 
 let records t = List.rev t.enacted
 
-let replan_count t = List.length t.enacted
-
 let predicted_rho t = t.predicted_rho
 
 let is_migrating t =
@@ -216,10 +214,6 @@ let migration_ends t =
   match t.migration_until with
   | Some until -> until
   | None -> Engine.now t.engine
-
-let rollout_phase t = Rollout.phase t.rollout
-
-let rollout_active t = Rollout.active t.rollout
 
 (* Which generation serves this client right now.  Only a canary client
    during the bake (or the promote window, while the rest of the fleet is
@@ -698,7 +692,7 @@ let begin_bake t (r : Planner.replan_result) ~mode ~observed ~cost ~bottleneck
    [Replan_suppressed] breadcrumb in the trace. *)
 let consider t ~now ~observed =
   Trace.record_failure t.trace ~time:now Trace.Replan_triggered;
-  if replan_count t >= t.cfg.max_replans then
+  if List.length t.enacted >= t.cfg.max_replans then
     record_suppressed t "replan-budget-exhausted"
   else if t.cfg.policy = Hysteresis && now -. t.last_enact < t.cfg.cooldown then
     record_suppressed t "cooldown"

@@ -212,10 +212,6 @@ val is_migrating : t -> bool
 (** True inside a migration window: the old hierarchy is being torn down
     and requests issued now are lost. *)
 
-val migration_ends : t -> float
-(** End of the current migration window ([Engine.now] when not
-    migrating) — where a dropped request's client should resume. *)
-
 val route : t -> client:int -> Middleware.t
 (** The generation serving this client right now.  Only a canary client
     during the bake (or the promote window) sees the staged generation;
@@ -224,19 +220,11 @@ val route : t -> client:int -> Middleware.t
 
 val blocked_until : t -> client:int -> float option
 (** When this client may issue again ([None]: free to go now).  The
-    legacy full-fleet migration pause blocks every client — exactly
-    {!is_migrating}/{!migration_ends} — while canary phases pause only
+    legacy full-fleet migration pause blocks every client until the
+    window ends (while {!is_migrating}), while canary phases pause only
     the side of the split that is moving: canary clients during the
     forward hop and the rollback, the rest of the fleet during the
     promote, nobody while the canary bakes. *)
-
-val rollout_phase : t -> Rollout.phase
-(** Where the staged rollout currently stands ([Idle] outside canary
-    enactments and always in [Off]/[Direct] mode). *)
-
-val rollout_active : t -> bool
-(** True while a canary rollout is in flight ([rollout_phase <> Idle]);
-    degradation sampling is paused for its duration. *)
 
 val monitor_rho : t -> float
 (** The model throughput the monitor's rules should predict against.
@@ -247,8 +235,6 @@ val monitor_rho : t -> float
 
 val records : t -> replan_record list
 (** Enacted replans, chronological. *)
-
-val replan_count : t -> int
 
 val predicted_rho : t -> float
 (** Model throughput of the hierarchy currently in charge. *)

@@ -64,8 +64,6 @@ let pop_min t =
     Some (top.time, top.payload)
   end
 
-let peek_min t = if t.size = 0 then None else Some (t.heap.(0).time, t.heap.(0).payload)
-
 let next_time t = if t.size = 0 then Float.infinity else t.heap.(0).time
 
 let pop_min_exn t =

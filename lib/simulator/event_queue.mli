@@ -14,8 +14,6 @@ val add : 'a t -> time:float -> 'a -> unit
 val pop_min : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
 
-val peek_min : 'a t -> (float * 'a) option
-
 val next_time : 'a t -> float
 (** Time of the earliest event without removing it, [Float.infinity] when
     the queue is empty — the allocation-free [peek_min] the simulation

@@ -174,12 +174,11 @@ let phase_spans trail =
 
 (* ---------- timeline export ---------- *)
 
-let json_escaped s = Printf.sprintf "%S" s
-
 let step_line { at; step; alerts } =
+  let str = Adept_obs.Label.json_string in
   Printf.sprintf "{\"at\":%.6f,\"step\":%s,\"alerts\":[%s]}\n" at
-    (json_escaped (step_name step))
-    (String.concat "," (List.map json_escaped alerts))
+    (str (step_name step))
+    (String.concat "," (List.map str alerts))
 
 (* The rollout decision trail as JSON lines, optionally interleaved in
    chronological order with the alert timeline that drove it (the same

@@ -136,9 +136,6 @@ val phase_spans : event list -> (string * float * float option) list
     Feed them to {!Adept_obs.Dashboard.render}'s [spans] to band the
     rollout over every panel. *)
 
-val step_line : event -> string
-(** One trail event as a JSON line (newline-terminated). *)
-
 val timeline_jsonl : ?alerts:Adept_obs.Alert.t -> event list -> string
 (** The decision trail as JSON lines, optionally merged in chronological
     order with the alert timeline that drove it (same bytes as

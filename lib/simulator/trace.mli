@@ -39,8 +39,6 @@ type failure =
                                      budget, planner error); the string
                                      names the reason. *)
 
-val failure_name : failure -> string
-
 type t
 
 val create : ?tracer:Adept_obs.Tracer.t -> unit -> t

@@ -11,13 +11,3 @@ let transfer_seconds ~size ~bandwidth =
   if bandwidth <= 0.0 then
     invalid_arg "Units.transfer_seconds: bandwidth must be positive";
   size /. bandwidth
-
-let pp_seconds ppf t =
-  if t < 1e-3 then Format.fprintf ppf "%.1fus" (t *. 1e6)
-  else if t < 1.0 then Format.fprintf ppf "%.2fms" (t *. 1e3)
-  else Format.fprintf ppf "%.2fs" t
-
-let pp_throughput ppf r =
-  if r >= 100.0 then Format.fprintf ppf "%.0f req/s" r
-  else if r >= 1.0 then Format.fprintf ppf "%.1f req/s" r
-  else Format.fprintf ppf "%.3f req/s" r

@@ -26,9 +26,3 @@ val seconds : w:float -> power:float -> float
 val transfer_seconds : size:float -> bandwidth:float -> float
 (** [transfer_seconds ~size ~bandwidth] is the time to move [size] Mbit at
     [bandwidth] Mbit/s.  @raise Invalid_argument if [bandwidth <= 0]. *)
-
-val pp_seconds : Format.formatter -> float -> unit
-(** Human-readable duration (us / ms / s). *)
-
-val pp_throughput : Format.formatter -> float -> unit
-(** Requests per second with adaptive precision. *)

@@ -145,7 +145,7 @@ let test_sub_platform () =
       Alcotest.(check int) "mapping size" 3 (Array.length mapping);
       Alcotest.(check string) "original cluster" "lyon" (Node.cluster mapping.(0));
       Alcotest.(check bool) "intra bandwidth" true
-        (Platform.uniform_bandwidth sub = 1000.0);
+        (Adept_platform.Link.uniform_bandwidth (Platform.link sub) = Some 1000.0);
       Alcotest.(check bool) "missing cluster" true
         (Multi_cluster.sub_platform platform ~cluster:"nowhere" = None)
 

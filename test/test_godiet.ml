@@ -102,8 +102,8 @@ let test_writer_load_deployment_roundtrip () =
         (fun a b ->
           Alcotest.(check bool) "node preserved" true (Adept_platform.Node.equal a b))
         (Platform.nodes p) (Platform.nodes p');
-      Alcotest.(check (float 0.0)) "bandwidth preserved" 100.0
-        (Platform.uniform_bandwidth p');
+      Alcotest.(check (option (float 0.0))) "bandwidth preserved" (Some 100.0)
+        (Adept_platform.Link.uniform_bandwidth (Platform.link p'));
       Alcotest.(check bool) "tree identical" true (Tree.equal tree tree')
 
 let test_writer_parse_resources_errors () =

@@ -482,7 +482,9 @@ let test_rtrace_attribution_matches_model () =
   let wapp = Adept_workload.Dgemm.(mflops (make 200)) in
   let predicted =
     Adept.Evaluate.bottleneck_element params
-      ~bandwidth:(Platform.uniform_bandwidth platform) ~wapp tree
+      ~bandwidth:
+        (Option.get (Adept_platform.Link.uniform_bandwidth (Platform.link platform)))
+      ~wapp tree
   in
   let attribution =
     Attribution.build ~store ~tree ~utilization:(utilization_of registry)
@@ -956,7 +958,9 @@ let golden_trace_exports () =
   let wapp = Adept_workload.Dgemm.(mflops (make 200)) in
   let predicted =
     Adept.Evaluate.bottleneck_element params
-      ~bandwidth:(Platform.uniform_bandwidth platform) ~wapp tree
+      ~bandwidth:
+        (Option.get (Adept_platform.Link.uniform_bandwidth (Platform.link platform)))
+      ~wapp tree
   in
   let attribution =
     Attribution.build ~store ~tree ~utilization:(utilization_of registry)

@@ -124,9 +124,9 @@ let test_platform_uniform_bandwidth_error () =
     ]
   in
   let p = Platform.create ~link nodes in
-  Alcotest.check_raises "heterogeneous connectivity"
-    (Invalid_argument "Platform.uniform_bandwidth: heterogeneous connectivity")
-    (fun () -> ignore (Platform.uniform_bandwidth p))
+  Alcotest.(check (option (float 0.0)))
+    "heterogeneous connectivity has no single B" None
+    (Link.uniform_bandwidth (Platform.link p))
 
 (* ---------- Generator ---------- *)
 
@@ -193,8 +193,9 @@ let test_catalog_roundtrip () =
       List.iter2
         (fun a b -> Alcotest.(check bool) "node equal" true (Node.equal a b))
         (Platform.nodes p) (Platform.nodes p');
-      Alcotest.(check (float 0.0)) "bandwidth" (Platform.uniform_bandwidth p)
-        (Platform.uniform_bandwidth p')
+      Alcotest.(check (option (float 0.0))) "bandwidth"
+        (Link.uniform_bandwidth (Platform.link p))
+        (Link.uniform_bandwidth (Platform.link p'))
 
 let test_catalog_inter_cluster_roundtrip () =
   let rng = Rng.create 9 in

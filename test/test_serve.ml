@@ -1,6 +1,6 @@
 (* Tests for the planning service: JSON and protocol codec fixpoints,
-   wire framing, the domain pool, the plan cache, sharded-planning
-   equivalence, and a live server driven over a Unix socket — including
+   wire framing, the domain pool, the plan cache, the served heuristic,
+   and a live server driven over a Unix socket — including
    the golden session transcript and the robustness cases (malformed
    frame, oversized prefix, unknown method, mid-request disconnect). *)
 
@@ -12,14 +12,6 @@ module Shard = Adept_serve.Shard
 module Cache = Adept_serve.Cache
 module Server = Adept_serve.Server
 module Client = Adept_serve.Client
-module Planner = Adept.Planner
-module Demand = Adept_model.Demand
-module Generator = Adept_platform.Generator
-module Tree = Adept_hierarchy.Tree
-module Rng = Adept_util.Rng
-
-let params = Adept_model.Params.diet_lyon
-let dgemm n = Adept_workload.Dgemm.(mflops (make n))
 
 (* ---------- JSON ---------- *)
 
@@ -195,7 +187,6 @@ let sample_stats =
     cache_invalidations = 1;
     coalesced = 4;
     workers = 1;
-    shards = 2;
     live = None;
   }
 
@@ -646,86 +637,33 @@ let test_cache_invalidate_platform () =
     (Cache.find c ~digest:"x" ~strategy:"h" ~wapp:1.0 ~demand:None = None);
   Alcotest.(check int) "nothing to drop twice" 0 (Cache.invalidate_platform c ~digest:"x")
 
-(* ---------- sharded-planning equivalence ---------- *)
+(* ---------- the served heuristic ---------- *)
 
-let plans_identical (a : Planner.plan) (b : Planner.plan) =
-  Tree.equal a.Planner.tree b.Planner.tree
-  && a.Planner.predicted_rho = b.Planner.predicted_rho
-  && a.Planner.demand_met = b.Planner.demand_met
-  && a.Planner.nodes_used = b.Planner.nodes_used
-  && a.Planner.evaluations = b.Planner.evaluations
-
-let prop_shard_equivalence pool =
-  (* the service's load-bearing invariant: for any platform family,
-     demand regime and shard count, the sharded plan is bit-identical to
-     the sequential heuristic — same tree, same rho float, same probe
-     count.  Speculation may miss; it must never change a decision. *)
-  QCheck.Test.make ~count:25
-    ~name:"sharded plan bit-identical to sequential heuristic"
-    QCheck.(triple (int_range 0 10_000) (int_range 2 160) (int_range 1 4))
-    (fun (seed, n, shards) ->
-      let rng = Rng.create seed in
-      let platform =
-        match seed mod 3 with
-        | 0 ->
-            Generator.uniform_heterogeneous ~bandwidth:1000.0 ~rng ~n
-              ~power_min:100.0 ~power_max:1000.0 ()
-        | 1 -> Generator.grid5000_orsay ~rng ~n ()
-        | _ -> Generator.homogeneous ~bandwidth:1000.0 ~n ~power:730.0 ()
-      in
-      let wapp = dgemm (100 + (seed mod 900)) in
-      let demand =
-        if seed mod 4 = 0 then Demand.rate (float_of_int ((seed mod 400) + 50))
-        else Demand.unbounded
-      in
-      let sequential = Planner.run Planner.Heuristic params ~platform ~wapp ~demand in
-      let sharded, _diag = Shard.plan ~shards ~pool params ~platform ~wapp ~demand in
-      match (sequential, sharded) with
-      | Ok a, Ok b -> plans_identical a b
-      | Error a, Error b -> a = b
-      | Ok _, Error _ | Error _, Ok _ -> false)
-
-let test_shard_equivalence () =
-  let pool = Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () -> QCheck.Test.check_exn (prop_shard_equivalence pool))
-
+(* [Shard.plan] is exactly [Planner.run Heuristic], with the
+   diagnostics the end-to-end benchmark reads. *)
 let test_shard_diag () =
-  let pool = Pool.create ~workers:2 () in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let platform = Generator.homogeneous ~bandwidth:1000.0 ~n:100 ~power:730.0 () in
-      let result, diag =
-        Shard.plan ~shards:4 ~pool params ~platform ~wapp:(dgemm 310)
-          ~demand:Demand.unbounded
-      in
-      (match result with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail (Adept.Error.to_string e));
-      Alcotest.(check int) "all four shards used" 4 diag.Shard.shards_used;
-      Alcotest.(check bool) "hint from shard plans" true (diag.Shard.hint > 0.0);
-      (* a tiny platform cannot shard: sequential fallback *)
-      let small = Generator.homogeneous ~bandwidth:1000.0 ~n:3 ~power:730.0 () in
-      let _, diag =
-        Shard.plan ~shards:4 ~pool params ~platform:small ~wapp:(dgemm 310)
-          ~demand:Demand.unbounded
-      in
-      Alcotest.(check int) "fallback reports one shard" 1 diag.Shard.shards_used;
-      (* one shard gives no hint: nothing is speculated, the bisection
-         runs every probe itself *)
-      let result, diag =
-        Shard.plan ~shards:1 ~pool params ~platform ~wapp:(dgemm 310)
-          ~demand:Demand.unbounded
-      in
-      match result with
-      | Error e -> Alcotest.fail (Adept.Error.to_string e)
-      | Ok plan ->
-          Alcotest.(check int) "one shard" 1 diag.Shard.shards_used;
-          Alcotest.(check int) "nothing speculated" 0 diag.Shard.speculated;
-          Alcotest.(check int) "every probe inline" plan.Adept.Planner.evaluations
-            diag.Shard.inline_probes)
+  let params = Adept_model.Params.diet_lyon in
+  let wapp = Adept_workload.Dgemm.(mflops (make 310)) in
+  let demand = Adept_model.Demand.unbounded in
+  let platform n =
+    Adept_platform.Generator.homogeneous ~bandwidth:1000.0 ~n ~power:730.0 ()
+  in
+  let result, diag = Shard.plan params ~platform:(platform 100) ~wapp ~demand in
+  (match
+     ( result,
+       Adept.Planner.run Adept.Planner.Heuristic params ~platform:(platform 100)
+         ~wapp ~demand )
+   with
+  | Ok served, Ok batch ->
+      Alcotest.(check bool) "the plan Planner.run makes" true (served = batch);
+      Alcotest.(check int) "nothing speculated" 0 diag.Shard.speculated;
+      Alcotest.(check int) "every probe inline" batch.Adept.Planner.evaluations
+        diag.Shard.inline_probes
+  | _ -> Alcotest.fail "expected a plan from both");
+  (* one node cannot host an agent and a server *)
+  let result, diag = Shard.plan params ~platform:(platform 1) ~wapp ~demand in
+  Alcotest.(check bool) "error passes through" true (Result.is_error result);
+  Alcotest.(check int) "no probes on error" 0 diag.Shard.inline_probes
 
 (* ---------- live server ---------- *)
 
@@ -739,7 +677,7 @@ let temp_socket_path () =
    an option on OCaml 5.1: with worker domains live, two systhreads of
    domain 0 parked in blocking sections (the serve loop's select plus
    the client's read) deadlock the runtime's stop-the-world handshake.
-   Nor is [Unix.fork] — the pool and shard suites spawn domains first,
+   Nor is [Unix.fork] — the pool suites spawn domains first,
    and fork is forbidden once any domain was ever created.  So the test
    binary re-execs ITSELF via posix_spawn ([Unix.create_process_env]):
    when [server_socket_var] is set it becomes the server (see the hook
@@ -748,9 +686,8 @@ let temp_socket_path () =
    graceful shutdown. *)
 let server_socket_var = "ADEPT_SERVE_TEST_SOCKET"
 
-(* When set, the child serves with observability on (value = shard
-   count, so the traced suites can exercise the sharded stage spans).
-   The golden-transcript child never sets it: the golden bytes pin the
+(* When set, the child serves with observability on.  The
+   golden-transcript child never sets it: the golden bytes pin the
    obs-off path. *)
 let server_obs_var = "ADEPT_SERVE_TEST_OBS"
 let server_access_var = "ADEPT_SERVE_TEST_ACCESS_LOG"
@@ -770,37 +707,27 @@ let run_as_server_child path =
          | Some server -> Server.stop server
          | None -> early_stop := true));
   let addr = Server.Unix_socket path in
-  let obs, shards =
-    match Sys.getenv_opt server_obs_var with
-    | None -> (None, 1)
-    | Some v ->
-        let shards =
-          match int_of_string_opt v with Some n when n > 0 -> n | _ -> 1
-        in
-        ( Some
-            {
-              (Server.default_obs ()) with
-              Server.scrape_interval = 0.05;
-              trace_slowest = 8;
-              access_log = Sys.getenv_opt server_access_var;
-              prom_path = Sys.getenv_opt server_prom_var;
-              journal_dir = Sys.getenv_opt server_journal_var;
-              otlp =
-                Option.map
-                  (fun s -> Server.Otlp_file s)
-                  (Sys.getenv_opt server_otlp_var);
-            },
-          shards )
+  let obs =
+    Option.map
+      (fun _ ->
+        {
+          (Server.default_obs ()) with
+          Server.scrape_interval = 0.05;
+          trace_slowest = 8;
+          access_log = Sys.getenv_opt server_access_var;
+          prom_path = Sys.getenv_opt server_prom_var;
+          journal_dir = Sys.getenv_opt server_journal_var;
+          otlp =
+            Option.map
+              (fun s -> Server.Otlp_file s)
+              (Sys.getenv_opt server_otlp_var);
+        })
+      (Sys.getenv_opt server_obs_var)
   in
   let config =
-    (* one worker, one shard: counters and replies must not depend on
-       the machine's core count (the transcript is golden) *)
-    {
-      (Server.default_config addr) with
-      Server.workers = Some 1;
-      shards = Some shards;
-      obs;
-    }
+    (* one worker: counters and replies must not depend on the
+       machine's core count (the transcript is golden) *)
+    { (Server.default_config addr) with Server.workers = Some 1; obs }
   in
   exit
     (try
@@ -975,7 +902,7 @@ let test_session_semantics () =
         && s.Proto.errors = 2 && s.Proto.cache_hits = 1
         && s.Proto.cache_misses = 2 && s.Proto.cache_evictions = 0
         && s.Proto.cache_invalidations = 1 && s.Proto.coalesced = 0
-        && s.Proto.workers = 1 && s.Proto.shards = 1)
+        && s.Proto.workers = 1)
   | _ -> Alcotest.fail "expected Stats_ok"
 
 let read_golden name =
@@ -1190,14 +1117,14 @@ let test_tracing_byte_identical () =
 
 let test_trace_dump_spans () =
   with_server
-    ~extra_env:[ server_obs_var ^ "=2" ]
+    ~extra_env:[ server_obs_var ^ "=1" ]
     (fun addr ->
       let c =
         match Client.connect_retry ~trace_base:1_000 addr with
         | Ok c -> c
         | Error e -> Alcotest.fail e
       in
-      (* a cold sharded plan, a cache hit, then the dump *)
+      (* a cold plan, a cache hit, then the dump *)
       (match Client.call c plan_syn8 with
       | Ok (Proto.Plan_ok p) ->
           Alcotest.(check bool) "cold" false p.cached
@@ -1216,8 +1143,7 @@ let test_trace_dump_spans () =
                 (contains chrome ("\"" ^ span ^ "\"")))
             [
               "serve.frame_read"; "serve.parse"; "serve.cache_lookup";
-              "serve.shard_plan"; "serve.replay"; "serve.render";
-              "serve.write";
+              "serve.replay"; "serve.render"; "serve.write";
             ]
       | Ok _ -> Alcotest.fail "expected Trace_ok"
       | Error e -> Alcotest.fail e);
@@ -1414,19 +1340,17 @@ let test_prof_samples () =
   Alcotest.(check int) "None is a free no-op" 3
     (Prof.time None ~stage:"x" (fun () -> 3));
   Alcotest.(check int) "result passes through" 7
-    (Prof.time (Some p) ~stage:"shard" ~shard:2 (fun () -> 7));
+    (Prof.time (Some p) ~stage:"render" (fun () -> 7));
   (match Prof.time (Some p) ~stage:"replay" (fun () -> failwith "boom") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "the thunk's exception must propagate");
   match Prof.samples p with
   | [ s1; s2 ] ->
-      Alcotest.(check string) "stage 1" "shard" s1.Prof.ps_stage;
-      Alcotest.(check int) "shard index" 2 s1.Prof.ps_shard;
+      Alcotest.(check string) "stage 1" "render" s1.Prof.ps_stage;
       Alcotest.(check (float 0.0)) "start 1" 0.0 s1.Prof.ps_start;
       Alcotest.(check (float 0.0)) "stop 1" 1.0 s1.Prof.ps_stop;
       Alcotest.(check string) "stage 2 recorded despite the raise" "replay"
-        s2.Prof.ps_stage;
-      Alcotest.(check int) "no shard" (-1) s2.Prof.ps_shard
+        s2.Prof.ps_stage
   | l -> Alcotest.fail (Printf.sprintf "expected 2 samples, got %d" (List.length l))
 
 let test_cache_eviction_age () =
@@ -2010,7 +1934,7 @@ let test_replay_matches_live_server () =
       with_server
         ~extra_env:
           [
-            server_obs_var ^ "=2";
+            server_obs_var ^ "=1";
             server_journal_var ^ "=" ^ journal_dir;
             server_otlp_var ^ "=" ^ otlp;
           ]
@@ -2148,11 +2072,7 @@ let () =
           Alcotest.test_case "replace same key" `Quick test_cache_replace_same_key;
           Alcotest.test_case "platform invalidation" `Quick test_cache_invalidate_platform;
         ] );
-      ( "shard",
-        [
-          Alcotest.test_case "bit-identical to sequential" `Slow test_shard_equivalence;
-          Alcotest.test_case "diagnostics" `Quick test_shard_diag;
-        ] );
+      ("shard", [ Alcotest.test_case "diagnostics" `Quick test_shard_diag ]);
       ( "server",
         [
           Alcotest.test_case "session semantics" `Quick test_session_semantics;

@@ -1417,6 +1417,37 @@ let test_rollout_golden_timeline () =
   Alcotest.(check string) "matches golden"
     (read_golden "golden/rollout_timeline.jsonl") got
 
+(* Alert names are free text (they come from rule files), so the
+   timeline must stay JSON whatever bytes they hold. *)
+let test_rollout_timeline_escapes () =
+  let name = "drift\x01caf\xc3\xa9 \"q\"\\" in
+  let trail =
+    [
+      { Rollout.at = 1.0; step = Rollout.Canary_started; alerts = [ name ] };
+      { Rollout.at = 2.5; step = Rollout.Rollback_finished; alerts = [] };
+    ]
+  in
+  let lines =
+    String.split_on_char '\n' (Rollout.timeline_jsonl trail)
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "one line per event" 2 (List.length lines);
+  let module Json = Adept_serve.Json in
+  List.iter
+    (fun line ->
+      match Json.of_string line with
+      | Error e -> Alcotest.fail (Printf.sprintf "not JSON (%s): %s" e line)
+      | Ok _ -> ())
+    lines;
+  let alerts =
+    match Json.of_string (List.hd lines) with
+    | Ok j -> Option.bind (Json.member "alerts" j) Json.to_list
+    | Error _ -> None
+  in
+  Alcotest.(check (option (list (option string))))
+    "alert name round-trips" (Some [ Some name ])
+    (Option.map (List.map Json.to_string_v) alerts)
+
 (* ---------- properties ---------- *)
 
 let prop_controller_min_gain =
@@ -1733,6 +1764,8 @@ let () =
           Alcotest.test_case "demo outcomes" `Slow test_rollout_demo_outcomes;
           Alcotest.test_case "golden timeline" `Slow
             test_rollout_golden_timeline;
+          Alcotest.test_case "timeline escapes" `Quick
+            test_rollout_timeline_escapes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
