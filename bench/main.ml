@@ -21,8 +21,6 @@ module Demand = Adept_model.Demand
 module Sproto = Adept_serve.Protocol
 module Scache = Adept_serve.Cache
 module Srender = Adept_serve.Render
-module Sserver = Adept_serve.Server
-module Sclient = Adept_serve.Client
 module Sprof = Adept_serve.Prof
 
 let params = Adept_model.Params.diet_lyon
@@ -433,8 +431,8 @@ let bench_xml =
 
 (* ---------- serve micros ---------- *)
 
-(* The plan request the serve micros and the closed-loop driver share:
-   the CLI's default synthetic platform. *)
+(* The plan request the serve micros share: the CLI's default synthetic
+   platform. *)
 let serve_spec =
   Sproto.Synthetic
     { nodes = 50; power = 730.0; bandwidth = 1000.0; heterogeneous = false; seed = 42 }
@@ -713,9 +711,8 @@ let read_bench_json path =
   List.rev !entries
 
 (* Machine-readable snapshot of the micro results, for CI artifacts and
-   cross-commit comparison.  MERGES: `bench micro` and `bench serve` own
-   disjoint entry names, and each run must leave the other's rows in
-   BENCH_sim.json intact — existing rows survive unless rewritten. *)
+   cross-commit comparison.  MERGES: existing rows survive unless
+   rewritten. *)
 let write_bench_json path entries =
   let keep =
     if Sys.file_exists path then
@@ -738,223 +735,6 @@ let write_bench_json path entries =
   output_string oc "  ]\n}\n";
   close_out oc;
   Printf.printf "wrote %s\n" path
-
-(* ---------- closed-loop serve driver ---------- *)
-
-(* `bench serve` re-execs this binary (posix_spawn) as one server
-   process and [clients] closed-loop client processes: Unix.fork is
-   forbidden once any domain exists, and on OCaml 5.1 in-process client
-   threads beside a domain-backed server deadlock the runtime's
-   stop-the-world handshake (docs/SERVE.md) — separate thread-free
-   processes sidestep both and keep this binary's micros unpolluted by
-   the systhreads tick thread.  With a variable set, the binary serves
-   or drives load instead of benching. *)
-let serve_socket_var = "ADEPT_BENCH_SERVE_SOCKET"
-let serve_prom_var = "ADEPT_BENCH_SERVE_PROM"
-let client_socket_var = "ADEPT_BENCH_CLIENT_SOCKET"
-let client_window_var = "ADEPT_BENCH_CLIENT_WINDOW"
-let client_out_var = "ADEPT_BENCH_CLIENT_OUT"
-let client_trace_var = "ADEPT_BENCH_CLIENT_TRACE_BASE"
-
-let () =
-  match Sys.getenv_opt serve_socket_var with
-  | None -> ()
-  | Some path ->
-      let config = Sserver.default_config (Sserver.Unix_socket path) in
-      let config =
-        (* with a scrape-file path set, the bench server runs fully
-           observed: every request traced, runtime events on, the
-           Prometheus snapshot atomically rewritten each second *)
-        match Sys.getenv_opt serve_prom_var with
-        | None -> config
-        | Some prom ->
-            {
-              config with
-              Sserver.obs =
-                Some
-                  { (Sserver.default_obs ()) with Sserver.prom_path = Some prom };
-            }
-      in
-      Sserver.run config;
-      exit 0
-
-(* One closed-loop client: zero think time, wall-clock window shared
-   with its siblings via the environment, post-warmup latencies written
-   one per line for the parent to aggregate. *)
-let run_serve_client path =
-  let warm_until, stop_at =
-    match Sys.getenv_opt client_window_var with
-    | Some w -> Scanf.sscanf w "%f %f" (fun a b -> (a, b))
-    | None -> failwith ("bench client: " ^ client_window_var ^ " unset")
-  in
-  let out =
-    match Sys.getenv_opt client_out_var with
-    | Some p -> p
-    | None -> failwith ("bench client: " ^ client_out_var ^ " unset")
-  in
-  let trace_base =
-    Option.bind (Sys.getenv_opt client_trace_var) int_of_string_opt
-  in
-  let c =
-    match Sclient.connect_retry ?trace_base (Sserver.Unix_socket path) with
-    | Ok c -> c
-    | Error e -> failwith ("bench client: " ^ e)
-  in
-  let request = Sproto.Plan serve_plan_params in
-  let acc = ref [] in
-  let rec go () =
-    let started = Unix.gettimeofday () in
-    if started < stop_at then begin
-      (match Sclient.call c request with
-      | Ok (Sproto.Error _) -> failwith "bench client: server-side error"
-      | Ok _ -> ()
-      | Error e -> failwith ("bench client: " ^ e));
-      if started >= warm_until then
-        acc := (Unix.gettimeofday () -. started) :: !acc;
-      go ()
-    end
-  in
-  go ();
-  Sclient.close c;
-  let oc = open_out out in
-  List.iter (fun l -> Printf.fprintf oc "%.9f\n" l) !acc;
-  close_out oc;
-  exit 0
-
-let () =
-  match Sys.getenv_opt client_socket_var with
-  | None -> ()
-  | Some path -> run_serve_client path
-
-let spawn_with extra_env =
-  let env = Array.append (Unix.environment ()) extra_env in
-  Unix.create_process_env Sys.executable_name
-    [| Sys.executable_name |]
-    env Unix.stdin Unix.stdout Unix.stderr
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-
-(* Sustained QPS and tail latency of the served hot path: a pool-sized
-   server, [clients] closed-loop client processes, a warm cache after
-   the priming query.  Results land in BENCH_sim.json beside the
-   Bechamel micros. *)
-let run_serve_driver () =
-  let path = Filename.temp_file "adept-bench-serve" ".sock" in
-  Sys.remove path;
-  let prom_out = "BENCH_serve_metrics.prom" in
-  let trace_out = "BENCH_serve_trace.json" in
-  let server =
-    spawn_with
-      [| serve_socket_var ^ "=" ^ path; serve_prom_var ^ "=" ^ prom_out |]
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill server Sys.sigterm with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] server))
-    (fun () ->
-      let clients = 4 and warmup = 0.5 and duration = 3.0 in
-      (* prime: the first query plans cold and fills the cache, so the
-         measured window is the steady state *)
-      let c0 =
-        match Sclient.connect_retry (Sserver.Unix_socket path) with
-        | Ok c -> c
-        | Error e -> failwith ("bench serve: " ^ e)
-      in
-      (match Sclient.call c0 (Sproto.Plan serve_plan_params) with
-      | Ok (Sproto.Error _) -> failwith "bench serve: priming query failed"
-      | Ok _ -> ()
-      | Error e -> failwith ("bench serve: " ^ e));
-      Sclient.close c0;
-      let t0 = Unix.gettimeofday () in
-      let window =
-        Printf.sprintf "%.6f %.6f" (t0 +. warmup) (t0 +. warmup +. duration)
-      in
-      let outs =
-        List.init clients (fun _ -> Filename.temp_file "adept-bench-lat" ".txt")
-      in
-      let pids =
-        (* disjoint deterministic trace-id bases per client — ids never
-           collide, so the server's head sampling is reproducible *)
-        List.mapi
-          (fun i out ->
-            spawn_with
-              [|
-                client_socket_var ^ "=" ^ path;
-                client_window_var ^ "=" ^ window;
-                client_out_var ^ "=" ^ out;
-                client_trace_var ^ "=" ^ string_of_int ((i + 1) * 1_000_000);
-              |])
-          outs
-      in
-      List.iter
-        (fun pid ->
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> ()
-          | _ -> failwith "bench serve: client process failed")
-        pids;
-      let all =
-        List.concat_map
-          (fun out ->
-            let ic = open_in out in
-            let samples = ref [] in
-            (try
-               while true do
-                 samples := float_of_string (input_line ic) :: !samples
-               done
-             with End_of_file -> ());
-            close_in ic;
-            Sys.remove out;
-            !samples)
-          outs
-        |> Array.of_list
-      in
-      Array.sort compare all;
-      let total = Array.length all in
-      let qps = float_of_int total /. duration in
-      let p50 = percentile all 0.50 *. 1e9
-      and p99 = percentile all 0.99 *. 1e9 in
-      Printf.printf
-        "serve: %d closed-loop clients over %.1fs: %.0f queries/s, p50 %.2f us, p99 %.2f us (%d queries)\n"
-        clients duration qps (p50 /. 1e3) (p99 /. 1e3) total;
-      (* pull the wall-clock observability artifacts off the live
-         server before draining it: the slowest-request Chrome trace
-         and the live stats line *)
-      (match Sclient.connect_retry (Sserver.Unix_socket path) with
-      | Error e -> failwith ("bench serve: " ^ e)
-      | Ok c ->
-          (match Sclient.call c Sproto.Trace_dump with
-          | Ok (Sproto.Trace_ok { chrome }) ->
-              let oc = open_out trace_out in
-              output_string oc chrome;
-              close_out oc;
-              Printf.printf "wrote %s (%d bytes, chrome://tracing)\n" trace_out
-                (String.length chrome)
-          | Ok _ -> failwith "bench serve: unexpected trace reply"
-          | Error e -> failwith ("bench serve: trace dump: " ^ e));
-          (match Sclient.call c Sproto.Stats with
-          | Ok (Sproto.Stats_ok { Sproto.live = Some l; _ }) ->
-              Printf.printf
-                "serve live: p50 %.2f us, p99 %.2f us, cache hit %.1f%%, gc pause p99 %.2f us, %d traces sampled\n"
-                (l.Sproto.latency_p50 *. 1e6)
-                (l.Sproto.latency_p99 *. 1e6)
-                (100.0 *. l.Sproto.cache_hit_ratio)
-                (l.Sproto.gc_pause_p99 *. 1e6)
-                l.Sproto.traces_sampled
-          | Ok _ -> failwith "bench serve: stats carried no live block"
-          | Error e -> failwith ("bench serve: stats: " ^ e));
-          Sclient.close c);
-      write_bench_json "BENCH_sim.json"
-        [
-          ("adept/serve/queries-per-sec", qps, total);
-          ("adept/serve/query-latency-p50-ns", p50, total);
-          ("adept/serve/query-latency-p99-ns", p99, total);
-        ]);
-  (* the server rewrote the scrape file on its way out *)
-  if Sys.file_exists prom_out then
-    Printf.printf "wrote %s (Prometheus snapshot)\n" prom_out
 
 (* The perf trajectory gate: fresh micro results against a committed
    snapshot.  Only benchmarks present in both are compared; a mean more
@@ -1054,17 +834,10 @@ let () =
     parse (List.tl (Array.to_list Sys.argv)) None 0.25 []
   in
   let micro = List.mem "micro" args || against <> None in
-  let serve_mode = List.mem "serve" args in
-  let ids =
-    List.filter (fun a -> a <> "micro" && a <> "all" && a <> "serve") args
-  in
-  let run_all =
-    args = [] || List.mem "all" args
-    || (ids = [] && (not micro) && not serve_mode)
-  in
+  let ids = List.filter (fun a -> a <> "micro" && a <> "all") args in
+  let run_all = args = [] || List.mem "all" args || (ids = [] && not micro) in
   if run_all then run_experiments []
   else if ids <> [] then run_experiments ids;
-  if serve_mode then run_serve_driver ();
   if micro then begin
     (* Read the baseline before run_micro overwrites BENCH_sim.json —
        the CI invocation gates against the committed copy of the same

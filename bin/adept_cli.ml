@@ -102,9 +102,16 @@ let dgemm_arg =
   let doc = "DGEMM matrix order defining the workload." in
   Arg.(value & opt int 310 & info [ "dgemm" ] ~docv:"N" ~doc)
 
-let demand_arg =
+(* A value the shared [Proto] rule rejects ends the command before it
+   plans, simulates or connects. *)
+let checked flag why v =
+  Option.iter (fun e -> exit_err (flag ^ " " ^ e)) (why v);
+  v
+
+let demand_term =
   let doc = "Client demand in requests/s (default: unbounded)." in
-  Arg.(value & opt (some float) None & info [ "demand" ] ~docv:"REQS" ~doc)
+  Term.(const (checked "--demand" Proto.demand_error)
+        $ Arg.(value & opt (some float) None & info [ "demand" ] ~docv:"REQS" ~doc))
 
 (* A plan request: the platform plus --dgemm/--demand/--strategy, with
    the --seed of the platform group. *)
@@ -120,7 +127,7 @@ let request_term =
   let make (spec, seed) dgemm demand strategy =
     ({ Proto.spec; dgemm; demand; strategy; use_cache = true }, seed)
   in
-  Term.(const make $ platform_term $ dgemm_arg $ demand_arg $ strategy)
+  Term.(const make $ platform_term $ dgemm_arg $ demand_term $ strategy)
 
 let replan_term =
   let failed =
@@ -138,8 +145,9 @@ let replan_term =
   in
   Term.(const make $ request_term $ failed)
 
-let clients_arg ~default ~doc =
-  Arg.(value & opt int default & info [ "clients" ] ~docv:"N" ~doc)
+let clients_term ~default ~doc =
+  Term.(const (checked "--clients" Proto.clients_error)
+        $ Arg.(value & opt int default & info [ "clients" ] ~docv:"N" ~doc))
 
 (* --clients/--warmup/--duration: the closed-loop measurement window. *)
 type window = { clients : int; warmup : float; duration : float }
@@ -154,7 +162,7 @@ let window_term ?(clients_doc = "Closed-loop client population.") () =
            ~doc:"Simulated measurement window.")
   in
   Term.(const (fun clients warmup duration -> { clients; warmup; duration })
-        $ clients_arg ~default:100 ~doc:clients_doc $ warmup $ duration)
+        $ clients_term ~default:100 ~doc:clients_doc $ warmup $ duration)
 
 let observe_term ?clients_doc () =
   let make ((req : Proto.plan_params), seed) w =
@@ -1087,8 +1095,8 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Plan with several strategies side by side")
-    Term.(const run $ platform_term $ dgemm_arg $ demand_arg $ strategies
-          $ measure $ clients_arg ~default:150 ~doc:"Client population for --measure.")
+    Term.(const run $ platform_term $ dgemm_arg $ demand_term $ strategies
+          $ measure $ clients_term ~default:150 ~doc:"Client population for --measure.")
 
 (* ---------- improve ---------- *)
 
@@ -1235,6 +1243,7 @@ let bench_node_cmd =
 (* ---------- serve / query ---------- *)
 
 module Serve = Adept_serve.Server
+module Live = Adept_serve.Live
 module Query = Adept_serve.Client
 
 let address_arg =
@@ -1265,7 +1274,7 @@ let serve_cmd =
     let otlp_sink =
       Option.map
         (fun s ->
-          match Serve.otlp_sink_of_string s with
+          match Live.otlp_sink_of_string s with
           | Ok sink -> sink
           | Error e -> exit_err ("bad --otlp: " ^ e))
         otlp
@@ -1273,10 +1282,10 @@ let serve_cmd =
     let obs =
       if not obs_on then None
       else
-        let base = Serve.default_obs () in
+        let base = Live.default () in
         let rules =
           match rules_file with
-          | None -> base.Serve.rules
+          | None -> base.Live.rules
           | Some path -> (
               match Adept_obs.Rule.parse (or_exit (read_file path)) with
               | Ok rules -> rules
@@ -1285,20 +1294,20 @@ let serve_cmd =
         Some
           {
             base with
-            Serve.trace_sample_rate =
-              Option.value ~default:base.Serve.trace_sample_rate
+            Live.trace_sample_rate =
+              Option.value ~default:base.Live.trace_sample_rate
                 trace_sample_rate;
             rules;
             scrape_interval =
-              Option.value ~default:base.Serve.scrape_interval scrape_interval;
+              Option.value ~default:base.Live.scrape_interval scrape_interval;
             access_log;
             prom_path = prom_out;
             journal_dir = journal;
             journal_segment_bytes =
-              Option.value ~default:base.Serve.journal_segment_bytes
+              Option.value ~default:base.Live.journal_segment_bytes
                 journal_segment_bytes;
             journal_max_segments =
-              Option.value ~default:base.Serve.journal_max_segments
+              Option.value ~default:base.Live.journal_max_segments
                 journal_max_segments;
             otlp = otlp_sink;
           }

@@ -70,13 +70,3 @@ let of_trace estimator ~power ~seconds =
   let t = create estimator in
   Array.iter (fun s -> observe t ~power ~seconds:s) seconds;
   t
-
-let pp ppf t =
-  match predict t with
-  | None -> Format.pp_print_string ppf "no observations"
-  | Some w ->
-      Format.fprintf ppf "Wapp ~ %.3f MFlop after %d observations%a" w t.n
-        (fun ppf -> function
-          | Some sd -> Format.fprintf ppf " (stddev %.3f)" sd
-          | None -> ())
-        (residual_stddev t)

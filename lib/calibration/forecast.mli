@@ -47,5 +47,3 @@ val residual_stddev : t -> float option
 val of_trace :
   estimator -> power:float -> seconds:float array -> t
 (** Batch construction from a timing trace. *)
-
-val pp : Format.formatter -> t -> unit

@@ -40,8 +40,6 @@ let dgemm_mflops ?(n = 192) ?(repeats = 5) () =
   let flops = 2.0 *. (float_of_int n ** 3.0) *. float_of_int repeats in
   flops /. seconds /. 1e6
 
-let measure () = dgemm_mflops ()
-
 let simulate_background_load ~base ~load_fraction =
   if load_fraction < 0.0 || load_fraction >= 1.0 then
     invalid_arg "Linpack.simulate_background_load: load_fraction must be in [0, 1)";

@@ -16,10 +16,6 @@ val dgemm_mflops : ?n:int -> ?repeats:int -> unit -> float
 (** Measured MFlop/s of a naive triple-loop [n x n] matrix multiply
     ([2 n^3] flops per pass).  Defaults: n = 192, repeats = 5. *)
 
-val measure : unit -> float
-(** The node-capacity figure used for calibration: the DGEMM measurement
-    (closer to the workload than DAXPY). *)
-
 val simulate_background_load : base:float -> load_fraction:float -> float
 (** What the mini-benchmark would report on a node whose cycles are
     [load_fraction] consumed by background work — the paper's

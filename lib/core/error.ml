@@ -24,7 +24,3 @@ let to_string = function
       Printf.sprintf "strategy %s found no feasible hierarchy: %s" strategy reason
   | Invalid_hierarchy { context; reason } ->
       Printf.sprintf "%s produced an invalid hierarchy: %s" context reason
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
-let equal (a : t) (b : t) = a = b

@@ -35,7 +35,3 @@ val no_feasible : strategy:string -> ('a, unit, string, t) format4 -> 'a
 val invalid_hierarchy : context:string -> ('a, unit, string, t) format4 -> 'a
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

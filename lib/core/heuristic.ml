@@ -407,10 +407,14 @@ let plan params ~platform ~wapp ~demand =
               candidates := (tree, rho, used) :: !candidates;
               true
         in
-        (* Upper bound on any achievable rho: the strongest agent with a
-           single child, the service power of everything else, and the
-           fastest possible server prediction rate — all O(1) pool
-           lookups, bit-identical to the reference's rest-list folds. *)
+        (* Bisection ceiling: the strongest agent with a single child,
+           the service power of everything else, and the fastest
+           possible server prediction rate — all O(1) pool lookups,
+           bit-identical to the reference's rest-list folds.  It is not
+           an upper bound on achievable rho: on 400 random 3-7-node
+           platforms the exhaustive optimum exceeded it on 291, and a
+           plan of this very heuristic can too (ROADMAP.md, "Bounds that
+           hold"). *)
         let hi_sched = Node_pool.hi_sched pool in
         let hi_service = Node_pool.hi_service pool in
         let hi_predict = Node_pool.hi_predict pool in

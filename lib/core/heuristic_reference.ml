@@ -228,17 +228,6 @@ let build params ~bandwidth ~wapp ~target sorted =
              (Tree.normalize (tree_of_ag root)))
   end
 
-let build_for_target params ~platform ~wapp ~target =
-  match Link.uniform_bandwidth (Platform.link platform) with
-  | None -> None
-  | Some bandwidth ->
-      let sorted =
-        Array.of_list
-          (Sched_power.sort_nodes params ~bandwidth (Platform.nodes platform))
-      in
-      if Array.length sorted < 2 then None
-      else build params ~bandwidth ~wapp ~target sorted
-
 let plan params ~platform ~wapp ~demand =
   let n = Platform.size platform in
   if n < 2 then Error "heuristic: need at least two nodes (one agent, one server)"
@@ -345,6 +334,3 @@ let plan params ~platform ~wapp ~demand =
             | None -> Error "heuristic: empty candidate set"
             | Some (tree, rho, _) ->
                 Ok { tree; predicted_rho = rho; probes = List.rev !probes; demand_met })
-
-let plan_tree params ~platform ~wapp ~demand =
-  Result.map (fun r -> r.tree) (plan params ~platform ~wapp ~demand)

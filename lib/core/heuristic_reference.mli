@@ -36,17 +36,3 @@ val plan :
   wapp:float ->
   demand:Adept_model.Demand.t ->
   (result, string) Stdlib.result
-
-val plan_tree :
-  Adept_model.Params.t ->
-  platform:Platform.t ->
-  wapp:float ->
-  demand:Adept_model.Demand.t ->
-  (Tree.t, string) Stdlib.result
-
-val build_for_target :
-  Adept_model.Params.t ->
-  platform:Platform.t ->
-  wapp:float ->
-  target:float ->
-  Tree.t option

@@ -63,8 +63,6 @@ let size t = Array.length t.sorted
 let node t i = t.sorted.(i)
 let nodes t = t.sorted
 let bandwidth t = t.bandwidth
-let wapp t = t.wapp
-let server_sched t i = t.server_sched.(i)
 let class_of t i = t.class_of.(i)
 let class_count t = t.class_count
 

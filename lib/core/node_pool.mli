@@ -46,10 +46,6 @@ val nodes : t -> Node.t array
     order — callers must not mutate it. *)
 
 val bandwidth : t -> float
-val wapp : t -> float
-
-val server_sched : t -> int -> float
-(** Eq. 14 server scheduling power of [node t i], precomputed. *)
 
 val class_of : t -> int -> int
 (** Power class of the i-th node; equal power ⇔ equal class.  Classes

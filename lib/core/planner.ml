@@ -274,12 +274,13 @@ let rec patch_out is_failed tree =
       then Some tree
       else Some (Tree.agent n patched)
 
-(* Upper bound (Eq. 16) on the throughput any hierarchy over [survivors]
-   can reach — the same three-way bound the heuristic bisects under,
-   computed on a survivor pool: strongest agent at degree one, service
-   power of everything but the strongest node, fastest server prediction
-   rate.  Any tree's rho is below it, so a patch within [slack] of it is
-   provably within [slack] of whatever a from-scratch replan could do. *)
+(* The three-way Eq. 16 ceiling the heuristic bisects under, computed on
+   a survivor pool: strongest agent at degree one, service power of
+   everything but the strongest node, fastest server prediction rate.
+   It is not a true upper bound, so a patch within [slack] of it can
+   still trail a from-scratch replan by more than [slack]: at DGEMM 100,
+   8 of 500 seeds of the slack property's generator do (ROADMAP.md,
+   "Bounds that hold"). *)
 let survivor_bound params ~bandwidth ~wapp ~demand survivors =
   let pool = Node_pool.create params ~bandwidth ~wapp survivors in
   let hi =

@@ -12,10 +12,6 @@ val of_servers :
 (** Service throughput in requests/s.  @raise Invalid_argument on an empty
     list or non-positive [wapp]. *)
 
-val of_powers :
-  Adept_model.Params.t -> bandwidth:float -> wapp:float -> float list -> float
-(** Same, from raw powers. *)
-
 val of_sums :
   Adept_model.Params.t ->
   bandwidth:float ->

@@ -22,13 +22,6 @@ type improver_row = {
   heuristic_rho : float;
 }
 
-type result = {
-  selection : selection_row list;
-  bandwidth : bandwidth_row list;
-  demand : demand_row list;
-  improver : improver_row list;
-}
-
 (* Selection-policy ablation on the Fig. 6 setting: heterogeneous servers
    make the policy matter — round-robin overloads the weak ones. *)
 let run_selection (ctx : Common.context) =
@@ -164,14 +157,6 @@ let run_improver (ctx : Common.context) =
             heuristic_rho;
           })
     starts
-
-let run ctx =
-  {
-    selection = run_selection ctx;
-    bandwidth = run_bandwidth ctx;
-    demand = run_demand ctx;
-    improver = run_improver ctx;
-  }
 
 let report_selection _ctx rows =
   let table =

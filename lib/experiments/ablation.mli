@@ -34,13 +34,6 @@ type improver_row = {
   heuristic_rho : float;  (** Planning from scratch on the same problem. *)
 }
 
-type result = {
-  selection : selection_row list;
-  bandwidth : bandwidth_row list;
-  demand : demand_row list;
-  improver : improver_row list;
-}
-
 val run_selection : Common.context -> selection_row list
 val run_bandwidth : Common.context -> bandwidth_row list
 val run_demand : Common.context -> demand_row list
@@ -72,8 +65,6 @@ val run_wan : Common.context -> (float * string * float) list
     platform across a sweep of WAN bandwidths with
     {!Adept.Multi_cluster.plan}; rows are (wan Mbit/s, chosen arrangement,
     rho). *)
-
-val run : Common.context -> result
 
 val report_selection : Common.context -> selection_row list -> Common.report
 val report_bandwidth : Common.context -> bandwidth_row list -> Common.report

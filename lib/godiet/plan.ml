@@ -55,14 +55,3 @@ let servers t = List.filter (fun e -> e.kind = Server) t.elements
 let find t name = List.find_opt (fun e -> e.element_name = name) t.elements
 
 let launch_order t = t.elements
-
-let pp ppf t =
-  List.iter
-    (fun e ->
-      let kind =
-        match e.kind with Master_agent -> "MA " | Agent -> "A  " | Server -> "SeD"
-      in
-      Format.fprintf ppf "%s %-8s on %-12s parent=%s@." kind e.element_name
-        (Adept_platform.Node.name e.host)
-        (Option.value ~default:"-" e.parent_name))
-    t.elements

@@ -36,5 +36,3 @@ val find : t -> string -> element option
 
 val launch_order : t -> element list
 (** Parents strictly before children (preorder). *)
-
-val pp : Format.formatter -> t -> unit

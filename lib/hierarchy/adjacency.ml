@@ -102,10 +102,3 @@ let to_tree platform m =
                       (build_all [] children)
             in
             build [] root)
-
-let pp ppf m =
-  Array.iter
-    (fun row ->
-      Array.iter (fun b -> Format.pp_print_char ppf (if b then '1' else '0')) row;
-      Format.pp_print_newline ppf ())
-    m

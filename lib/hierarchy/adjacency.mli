@@ -28,6 +28,3 @@ val used : t -> bool array
 (** Nodes that appear in the hierarchy (as parent or child). *)
 
 val edge_count : t -> int
-
-val pp : Format.formatter -> t -> unit
-(** Render as 0/1 rows, one line per parent. *)

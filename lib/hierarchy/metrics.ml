@@ -54,15 +54,6 @@ let degree_histogram tree =
   Hashtbl.fold (fun d c acc -> (d, c) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let pp ppf t =
-  Format.fprintf ppf
-    "nodes=%d agents=%d servers=%d depth=%d degrees=%d..%d (mean %.1f) levels=[%a]" t.nodes
-    t.agents t.servers t.depth t.min_agent_degree t.max_degree t.mean_agent_degree
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       Format.pp_print_int)
-    t.level_sizes
-
 let describe tree =
   let m = of_tree tree in
   if m.agents = 0 then Printf.sprintf "%d nodes: single server" m.nodes

@@ -19,8 +19,6 @@ val of_tree : Tree.t -> t
 val degree_histogram : Tree.t -> (int * int) list
 (** [(degree, agent count)] pairs, ascending by degree. *)
 
-val pp : Format.formatter -> t -> unit
-
 val describe : Tree.t -> string
 (** A one-line description like
     ["156 nodes: 11 agents (depth 2, degrees 5..9), 145 servers"]. *)

@@ -13,10 +13,6 @@ let is_met t rho = match t with Unbounded -> false | Rate r -> rho >= r
 
 let min_target t x = match t with Unbounded -> x | Rate r -> Float.min r x
 
-let pp ppf = function
-  | Unbounded -> Format.pp_print_string ppf "unbounded"
-  | Rate r -> Format.fprintf ppf "%.2f req/s" r
-
 let equal a b =
   match (a, b) with
   | Unbounded, Unbounded -> true

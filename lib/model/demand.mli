@@ -23,5 +23,4 @@ val min_target : t -> float -> float
 (** [min_target demand x] is [min r x] for [Rate r] and [x] otherwise —
     the paper's [min_ser_cv] combining service power and client demand. *)
 
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

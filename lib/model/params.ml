@@ -42,12 +42,6 @@ let scale_agent_compute t factor =
       };
   }
 
-let pp ppf t =
-  Format.fprintf ppf
-    "agent: Wreq=%g Wrep(d)=%g+%g*d Sreq=%g Srep=%g; server: Wpre=%g Sreq=%g Srep=%g"
-    t.agent.wreq t.agent.wfix t.agent.wsel t.agent.sreq t.agent.srep t.server.wpre
-    t.server.sreq t.server.srep
-
 let to_table t =
   let open Adept_util in
   let table =

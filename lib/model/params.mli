@@ -39,7 +39,5 @@ val scale_agent_compute : t -> float -> t
     sensitivity/ablation studies.  @raise Invalid_argument if the factor is
     not positive. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_table : t -> Adept_util.Table.t
 (** Render in the layout of the paper's Table 3. *)

@@ -39,8 +39,6 @@ let create ?tracer ~timeseries rules =
       List.iter (fun (r : Rule.t) -> Hashtbl.replace states r.Rule.name Inactive) rules;
       Ok { rules; timeseries; tracer; states; transitions = [] }
 
-let rules t = t.rules
-
 let timeseries t = t.timeseries
 
 let record t ~at rule edge value =

@@ -34,8 +34,6 @@ val create :
     rule whose {!Rule.max_window} exceeds the store's retention (its
     windows could silently never fill). *)
 
-val rules : t -> Rule.t list
-
 val timeseries : t -> Timeseries.t
 
 val eval : t -> now:float -> unit

@@ -19,9 +19,6 @@ type share = {
 val seconds : share -> float
 (** Total of the four components. *)
 
-val segments : Request_trace.trace -> Request_trace.span list
-(** The critical path, head first (= {!Request_trace.critical_path}). *)
-
 val by_element : Request_trace.trace -> share list
 (** The path's time grouped per element, sorted by node id (the
     client/wire bucket -1 first).  On a fault-free trace the shares sum

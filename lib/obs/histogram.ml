@@ -151,8 +151,6 @@ let max_recorded s = if s.s_count = 0 then None else Some s.s_max
 
 let exemplar s = s.s_exemplar
 
-let alpha s = s.s_alpha
-
 let num_buckets s = Array.length s.s_buckets + if s.s_underflow > 0 then 1 else 0
 
 let bucket_estimate s i =

@@ -65,8 +65,6 @@ val quantile : snapshot -> float -> float option
     inside the clamp range.  [None] on an empty snapshot.
     @raise Invalid_argument if [q] is outside [[0, 100]]. *)
 
-val alpha : snapshot -> float
-
 val num_buckets : snapshot -> int
 (** Number of distinct occupied buckets (memory proxy). *)
 

@@ -542,7 +542,6 @@ let append w r =
   framed
 
 let records_written w = w.n_records
-let directory w = w.dir
 
 let close w =
   if not w.closed then begin

@@ -107,8 +107,6 @@ val append : writer -> record -> int
 
 val records_written : writer -> int
 
-val directory : writer -> string
-
 val close : writer -> unit
 
 (** {1 Reading} *)

@@ -188,8 +188,6 @@ let create ?(sample_rate = 1.0) ?(max_traces = 32) ?(max_spans = 4096) () =
     agg = Hashtbl.create 64;
   }
 
-let sample_rate t = t.rate
-
 (* 64-bit finaliser (splitmix64's mixer): trace id -> uniform in [0, 1).
    Deterministic and independent of every simulation RNG stream, so the
    sampled id set depends only on the rate. *)
@@ -335,8 +333,6 @@ let requests_seen t = t.n_seen
 let sampled t = t.n_sampled
 
 let finished t = t.n_finished
-
-let abandoned t = t.n_abandoned
 
 let dropped t = t.n_dropped
 

@@ -103,8 +103,6 @@ val create : ?sample_rate:float -> ?max_traces:int -> ?max_spans:int -> unit -> 
     reservoir; [max_spans] (default 4096, >= 1) caps spans per trace —
     an overflowing trace stops recording and counts as dropped. *)
 
-val sample_rate : t -> float
-
 val would_sample : t -> int -> bool
 (** The head-sampling decision for a trace id — pure and deterministic:
     a hash of the id compared against [sample_rate]. *)
@@ -179,8 +177,6 @@ val sampled : t -> int
 (** Handles opened. *)
 
 val finished : t -> int
-
-val abandoned : t -> int
 
 val dropped : t -> int
 (** Finished sampled traces not retained as exemplars: reservoir

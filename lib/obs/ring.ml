@@ -19,11 +19,7 @@ let create ?(capacity = 64) ~retention () =
     pruned_before = neg_infinity;
   }
 
-let retention t = t.retention
-
 let length t = t.len
-
-let capacity t = Array.length t.times
 
 let get_time t i = t.times.((t.head + i) mod Array.length t.times)
 
@@ -99,11 +95,6 @@ let count_in t ~t0 ~t1 =
           through %g)"
          t0 t.pruned_before);
   if t1 <= t0 then 0 else lower_bound t t1 - lower_bound t t0
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f ~time:(get_time t i) ~value:(get_value t i)
-  done
 
 let fold t ~init ~f =
   let acc = ref init in

@@ -13,15 +13,10 @@ val create : ?capacity:int -> retention:float -> unit -> t
 (** [retention] may be [infinity] (never prune).
     @raise Invalid_argument if [retention < 0]. *)
 
-val retention : t -> float
-
 val push : t -> time:float -> float -> unit
 (** @raise Invalid_argument if [time] decreases. *)
 
 val length : t -> int
-
-val capacity : t -> int
-(** Current allocated slots (memory proxy for tests). *)
 
 val oldest_time : t -> float option
 (** Time of the oldest {e retained} sample. *)
@@ -38,8 +33,5 @@ val count_in : t -> t0:float -> t1:float -> int
     @raise Invalid_argument if [t0] predates the retained window
     (i.e. samples that could have matched were pruned) — callers must
     keep their query windows within [retention]. *)
-
-val iter : t -> (time:float -> value:float -> unit) -> unit
-(** Oldest to newest. *)
 
 val fold : t -> init:'a -> f:('a -> time:float -> value:float -> 'a) -> 'a

@@ -33,8 +33,6 @@ let create ?(capacity = 64) ~retention selectors =
 
 let retention t = t.retention
 
-let selectors t = t.selectors
-
 let scrapes t = t.scrapes
 
 (* Label-subset match: every matcher pair appears verbatim in the
@@ -111,12 +109,6 @@ let last t sel =
   match ring t sel with
   | None -> None
   | Some r -> Ring.find_at_or_before r ~time:infinity
-
-let points t sel =
-  match ring t sel with
-  | None -> []
-  | Some r ->
-      List.rev (Ring.fold r ~init:[] ~f:(fun acc ~time ~value -> (time, value) :: acc))
 
 let scrape_times t =
   List.rev

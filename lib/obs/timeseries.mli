@@ -23,9 +23,6 @@ val create : ?capacity:int -> retention:float -> Rule.selector list -> t
 
 val retention : t -> float
 
-val selectors : t -> Rule.selector list
-(** The deduplicated selector set, in first-seen order. *)
-
 val scrapes : t -> int
 (** Number of {!scrape} calls so far. *)
 
@@ -38,9 +35,6 @@ val scrape : t -> registry:Registry.t -> now:float -> unit
 
 val last : t -> Rule.selector -> (float * float) option
 (** Most recent retained [(time, value)] sample for a selector. *)
-
-val points : t -> Rule.selector -> (float * float) list
-(** All retained samples, oldest first (for dashboards). *)
 
 val scrape_times : t -> float list
 (** Retained scrape instants, oldest first. *)

@@ -24,6 +24,4 @@ let compare_by_power_desc a b =
 
 let equal a b = a.id = b.id && a.name = b.name && a.power = b.power && a.cluster = b.cluster
 
-let compare a b = Int.compare a.id b.id
-
 let pp ppf t = Format.fprintf ppf "%s#%d(%.0f MFlop/s)" t.name t.id t.power

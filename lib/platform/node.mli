@@ -32,5 +32,4 @@ val compare_by_power_desc : t -> t -> int
 (** Sort key: decreasing power, ties by increasing id (deterministic). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

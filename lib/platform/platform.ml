@@ -70,8 +70,3 @@ let pp_summary ppf t =
   Format.fprintf ppf "%d nodes, power %.0f..%.0f MFlop/s (mean %.0f), link %a"
     (size t) s.Adept_util.Stats.smin s.Adept_util.Stats.smax s.Adept_util.Stats.smean
     Link.pp t.link
-
-let pp ppf t =
-  pp_summary ppf t;
-  Format.pp_print_newline ppf ();
-  Array.iter (fun n -> Format.fprintf ppf "  %a@." Node.pp n) t.nodes

@@ -37,5 +37,4 @@ val subset : t -> Node.id list -> Node.t list
 (** Resolve ids to nodes, preserving order.
     @raise Invalid_argument on out-of-range ids or duplicates. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_summary : Format.formatter -> t -> unit

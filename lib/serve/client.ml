@@ -14,21 +14,10 @@ type t = {
 }
 
 let connect ?trace_base address =
-  match address with
-  | Server.Unix_socket path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e -> Unix.close fd; raise e);
-      { fd; next_id = 1; trace_base }
-  | Server.Tcp (host, port) ->
-      let addr =
-        try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-       with e -> Unix.close fd; raise e);
-      { fd; next_id = 1; trace_base }
+  let addr = Server.sockaddr address in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd addr with e -> Unix.close fd; raise e);
+  { fd; next_id = 1; trace_base }
 
 (* Retry the connect while the server is still binding — the CLI and CI
    start the server as a background process and race it. *)

@@ -306,6 +306,21 @@ let encode_reply { reply_id; response } =
 
 let ( let* ) = Result.bind
 
+let demand_error = function
+  | Some d when not (d > 0.0 && Float.is_finite d) ->
+      Some (Printf.sprintf "must be a positive finite rate, got %g" d)
+  | _ -> None
+
+let clients_error n =
+  if n < 1 then Some (Printf.sprintf "must be at least 1, got %d" n) else None
+
+(* A field value that [check] finds out of range is a typed params
+   error, not a planner failure. *)
+let in_range name check v =
+  match check v with
+  | None -> Ok v
+  | Some why -> Stdlib.Error (Printf.sprintf "field %S %s" name why)
+
 (* [Stdlib.Error] throughout: the [response] type's [Error] constructor
    shadows the result one in this scope. *)
 let field name conv j ~default =
@@ -353,6 +368,7 @@ let decode_common j =
       (fun v -> Option.map Option.some (Json.to_float v))
       j ~default:(Some None)
   in
+  let* demand = in_range "demand" demand_error demand in
   let* strategy = field "strategy" Json.to_string_v j ~default:(Some "heuristic") in
   Ok (spec, dgemm, demand, strategy)
 
@@ -377,6 +393,7 @@ let decode_params method_ params =
       let* o_spec, o_dgemm, o_demand, o_strategy = decode_common params in
       let* o_seed = field "seed" Json.to_int params ~default:(Some 42) in
       let* o_clients = field "clients" Json.to_int params ~default:(Some 100) in
+      let* o_clients = in_range "clients" clients_error o_clients in
       let* o_warmup = field "warmup" Json.to_float params ~default:(Some 2.0) in
       let* o_duration = field "duration" Json.to_float params ~default:(Some 4.0) in
       Ok

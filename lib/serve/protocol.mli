@@ -141,6 +141,14 @@ val spec_digest : platform_spec -> string
     the plan cache keys on and replan invalidation targets.  Equal specs
     always digest equally (member order is deterministic). *)
 
+val demand_error : float option -> string option
+(** Why a demand is out of range: it must be a positive, finite rate
+    ([None] is unbounded).  The batch CLI and {!decode_request} share
+    this rule. *)
+
+val clients_error : int -> string option
+(** Why a closed-loop client population is out of range (below 1). *)
+
 type decoded =
   | Request of envelope
   | Bad of int option * error_kind

@@ -26,16 +26,6 @@ val plan_text : platform:Platform.t -> wapp:float -> Adept.Planner.plan -> strin
 (** The [adept plan] stdout for this plan (summary + model report, or
     the heterogeneous-links rho line). *)
 
-val run_plan :
-  ?prof:Prof.t ->
-  Adept.Planner.strategy ->
-  platform:Platform.t ->
-  wapp:float ->
-  demand:Adept_model.Demand.t ->
-  (Adept.Planner.plan, string) result
-(** Plan with [Planner.run]; the heuristic goes through {!Shard.plan},
-    which times it as [prof]'s ["replay"] stage. *)
-
 type planned = {
   platform : Platform.t;
   wapp : float;

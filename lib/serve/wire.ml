@@ -81,12 +81,31 @@ let read_frame fd =
   really_read fd payload 0 declared;
   Bytes.unsafe_to_string payload
 
-let write_frame fd payload =
-  let frame = encode payload in
-  let n = String.length frame in
+let write_all fd s =
+  let n = String.length s in
   let rec go off =
     if off < n then
-      let written = Unix.write_substring fd frame off (n - off) in
+      let written = Unix.write_substring fd s off (n - off) in
       go (off + written)
   in
   go 0
+
+let write_frame fd payload = write_all fd (encode payload)
+
+(* ---------- socket addresses ---------- *)
+
+let host_port s =
+  match String.rindex_opt s ':' with
+  | None -> Error "needs host:port"
+  | Some j -> (
+      let port = String.sub s (j + 1) (String.length s - j - 1) in
+      match int_of_string_opt port with
+      | Some p when p > 0 && p < 65536 -> Ok (String.sub s 0 j, p)
+      | _ -> Error ("invalid port: " ^ port))
+
+let inet_sockaddr host port =
+  let addr =
+    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+    with Not_found -> Unix.inet_addr_of_string host
+  in
+  Unix.ADDR_INET (addr, port)

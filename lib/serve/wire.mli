@@ -48,3 +48,16 @@ val read_frame : Unix.file_descr -> string
     [Failure] on an oversized prefix. *)
 
 val write_frame : Unix.file_descr -> string -> unit
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string (no framing). *)
+
+(** {1 Socket addresses} *)
+
+val host_port : string -> (string * int, string) result
+(** ["<host>:<port>"], split at the last colon; the port must lie in
+    [1, 65535]. *)
+
+val inet_sockaddr : string -> int -> Unix.sockaddr
+(** Resolve a host name (or a numeric address) and pair it with a
+    port. *)

@@ -203,8 +203,6 @@ let tree t = t.tree
 
 let records t = List.rev t.enacted
 
-let predicted_rho t = t.predicted_rho
-
 let is_migrating t =
   match t.migration_until with
   | Some until -> Engine.now t.engine < until

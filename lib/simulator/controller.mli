@@ -208,10 +208,6 @@ val tree : t -> Tree.t
 (** The hierarchy currently in charge as a tree — what the monitor's
     model rules should be predicting against. *)
 
-val is_migrating : t -> bool
-(** True inside a migration window: the old hierarchy is being torn down
-    and requests issued now are lost. *)
-
 val route : t -> client:int -> Middleware.t
 (** The generation serving this client right now.  Only a canary client
     during the bake (or the promote window) sees the staged generation;
@@ -235,9 +231,6 @@ val monitor_rho : t -> float
 
 val records : t -> replan_record list
 (** Enacted replans, chronological. *)
-
-val predicted_rho : t -> float
-(** Model throughput of the hierarchy currently in charge. *)
 
 val fault_stats : t -> Middleware.fault_stats
 (** Counters merged across every generation (current plus retired). *)

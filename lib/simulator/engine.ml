@@ -31,14 +31,6 @@ let pending t = Event_queue.size t.queue
 
 type outcome = Exhausted | Horizon_reached | Event_limit
 
-let step t =
-  match Event_queue.pop_min t.queue with
-  | None -> false
-  | Some (time, callback) ->
-      t.clock <- time;
-      callback ();
-      true
-
 let run ?until ?max_events t =
   let horizon = Option.value ~default:Float.infinity until in
   let limit = Option.value ~default:max_int max_events in

@@ -36,6 +36,3 @@ val run : ?until:float -> ?max_events:int -> t -> outcome
 (** Process events in order.  [until] stops before executing any event
     later than the horizon and sets the clock to the horizon;
     [max_events] is a safety valve against runaway simulations. *)
-
-val step : t -> bool
-(** Execute the next event; false when empty. *)

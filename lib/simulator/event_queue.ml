@@ -78,7 +78,3 @@ let pop_min_exn t =
 
 let size t = t.size
 let is_empty t = t.size = 0
-
-let clear t =
-  t.size <- 0;
-  t.heap <- [||]

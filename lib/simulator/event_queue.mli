@@ -25,4 +25,3 @@ val pop_min_exn : 'a t -> 'a
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-val clear : 'a t -> unit

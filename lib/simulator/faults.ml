@@ -143,16 +143,3 @@ let bandwidth_factor t ~now =
 
 let events_before t ~horizon =
   List.filter (fun e -> e.at < horizon) t.node_events
-
-let pp ppf t =
-  let crashes =
-    List.length (List.filter (fun e -> e.kind = Crash) t.node_events)
-  in
-  Format.fprintf ppf
-    "faults: %d crash(es), %d event(s), drop %.3f, %d degradation window(s), \
-     timeout %gs x%d retries"
-    crashes
-    (List.length t.node_events)
-    t.drop_probability
-    (List.length t.degradations)
-    t.timeout t.max_retries

@@ -110,5 +110,3 @@ val bandwidth_factor : t -> now:float -> float
 
 val events_before : t -> horizon:float -> node_event list
 (** Chronological node events strictly before [horizon]. *)
-
-val pp : Format.formatter -> t -> unit

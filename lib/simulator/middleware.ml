@@ -148,10 +148,6 @@ let resource t id =
 
 let root t = t.root
 
-let engine t = t.engine
-
-let trace t = t.trace
-
 let is_alive t id = t.alive.(id)
 
 (* Deployed elements (agents + servers) currently alive. *)

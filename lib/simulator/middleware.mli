@@ -185,5 +185,3 @@ val resource : t -> Node.id -> Resource.t
 val root : t -> Node.id
 val server_ids : t -> Node.id list
 val agent_ids : t -> Node.id list
-val engine : t -> Engine.t
-val trace : t -> Trace.t

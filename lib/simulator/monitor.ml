@@ -67,8 +67,6 @@ let create ?(interval = 0.25) ?retention ?capacity ?tracer ?(selectors = [])
       | Ok alerts -> Ok { interval; timeseries; alerts }
   end
 
-let interval t = t.interval
-
 let timeseries t = t.timeseries
 
 let alerts t = t.alerts

@@ -61,8 +61,6 @@ val create :
     what the rules read; the model-gauge and run-counter selectors are
     always included.  Duplicate rule names are an error. *)
 
-val interval : t -> float
-
 val timeseries : t -> Adept_obs.Timeseries.t
 
 val alerts : t -> Adept_obs.Alert.t

@@ -12,7 +12,6 @@ let create ~name ~power =
     invalid_arg "Resource.create: power must be positive and finite";
   { name; power; free_at = 0.0; busy = 0.0; bookings = 0; last_request = 0.0 }
 
-let name t = t.name
 let power t = t.power
 let free_at t = t.free_at
 
@@ -47,7 +46,3 @@ let bookings t = t.bookings
 
 let utilization t ~horizon =
   if horizon <= 0.0 then 0.0 else Float.min 1.0 (t.busy /. horizon)
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%.0f MFlop/s, busy %.3fs, %d bookings)" t.name t.power t.busy
-    t.bookings

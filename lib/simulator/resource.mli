@@ -8,7 +8,6 @@ type t
 val create : name:string -> power:float -> t
 (** @raise Invalid_argument if [power <= 0]. *)
 
-val name : t -> string
 val power : t -> float
 
 val free_at : t -> float
@@ -47,5 +46,3 @@ val bookings : t -> int
 val utilization : t -> horizon:float -> float
 (** [busy_seconds / horizon] clamped to [0, 1]; the fraction of the run
     the port was occupied (assuming all bookings fit in the horizon). *)
-
-val pp : Format.formatter -> t -> unit

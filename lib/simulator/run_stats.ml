@@ -54,7 +54,6 @@ let completed t = t.completed
 let lost t = t.lost
 let degraded_seconds t = t.degraded_seconds
 let migration_lost t = t.migration_lost
-let replans t = t.replans
 
 let completions_in t ~t0 ~t1 = Ring.count_in t.ring ~t0 ~t1
 
@@ -75,8 +74,3 @@ let response_percentile t p =
 let response_snapshot t = Histogram.snapshot t.responses
 
 let retained_completions t = Ring.length t.ring
-
-let pp ppf t =
-  Format.fprintf ppf "issued=%d completed=%d lost=%d servers=%d" t.issued t.completed
-    t.lost
-    (Hashtbl.length t.per_server)

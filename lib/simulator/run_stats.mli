@@ -55,9 +55,6 @@ val migration_lost : t -> int
 (** Requests dropped because they arrived mid-migration; 0 without a
     controller. *)
 
-val replans : t -> int
-(** Replanned hierarchies enacted; 0 without a controller. *)
-
 val completions_in : t -> t0:float -> t1:float -> int
 (** Completions with [t0 <= time < t1].  @raise Invalid_argument if
     [t0] reaches behind the retained history (window larger than
@@ -83,5 +80,3 @@ val response_snapshot : t -> Adept_obs.Histogram.snapshot
 
 val retained_completions : t -> int
 (** Completions currently held in the ring (memory proxy for tests). *)
-
-val pp : Format.formatter -> t -> unit

@@ -138,20 +138,3 @@ let failures t = List.rev t.failures
 let failure_count t = List.length t.failures
 
 let recovery_latencies t = Array.of_list (List.rev t.recovery_latencies)
-
-let pp_summary ppf t =
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun role ->
-          match mean_message_size t kind role with
-          | None -> ()
-          | Some mean ->
-              Format.fprintf ppf "%s@%s: %d observations, mean %.3g Mbit@."
-                (kind_name kind) (role_name role) (message_count t kind role) mean)
-        [ Agent_end; Server_end; Client_end ])
-    [ Sched_request; Sched_reply; Service_request; Service_reply ];
-  if t.failures <> [] then
-    Format.fprintf ppf "failure events: %d (last %s)@." (failure_count t)
-      (match t.failures with (_, f) :: _ -> failure_name f | [] -> "-");
-  Format.fprintf ppf "total traffic: %.3f Mbit" (total_mbit t)

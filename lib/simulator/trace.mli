@@ -98,5 +98,3 @@ val failures : t -> (float * failure) list
 val failure_count : t -> int
 
 val recovery_latencies : t -> float array
-
-val pp_summary : Format.formatter -> t -> unit

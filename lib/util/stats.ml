@@ -91,7 +91,3 @@ let summarize xs =
     smin = minimum xs;
     smax = maximum xs;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g stddev=%.6g min=%.6g max=%.6g" s.n s.smean
-    s.sstddev s.smin s.smax

@@ -56,5 +56,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** Convenience bundle of the descriptive statistics above. *)
-
-val pp_summary : Format.formatter -> summary -> unit

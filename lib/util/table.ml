@@ -75,8 +75,6 @@ let render t =
   rule ();
   Buffer.contents buf
 
-let pp ppf t = Format.pp_print_string ppf (render t)
-
 let cell_float ?(decimals = 2) v =
   if v <> 0.0 && Float.abs v < 1e-3 then Format.asprintf "%.*e" decimals v
   else Format.asprintf "%.*f" decimals v

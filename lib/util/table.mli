@@ -26,8 +26,6 @@ val render : t -> string
 (** Render with box-drawing in plain ASCII ([+-|]).  Rows are emitted in
     insertion order. *)
 
-val pp : Format.formatter -> t -> unit
-
 val cell_float : ?decimals:int -> float -> string
 (** Format a float cell; defaults to 2 decimals, switches to scientific
     notation below 1e-3. *)

@@ -9,6 +9,3 @@ let closed_loop job = make (Mix.single job)
 
 let mix t = t.mix
 let think_time t = t.think_time
-
-let pp ppf t =
-  Format.fprintf ppf "closed-loop client, think %.3gs, mix: %a" t.think_time Mix.pp t.mix

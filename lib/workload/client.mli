@@ -19,4 +19,3 @@ val closed_loop : Job.t -> t
 
 val mix : t -> Mix.t
 val think_time : t -> float
-val pp : Format.formatter -> t -> unit

@@ -10,7 +10,3 @@ let of_dgemm d = make ~app:(Printf.sprintf "dgemm-%d" (Dgemm.order d)) ~wapp:(Dg
 
 let app t = t.app
 let wapp t = t.wapp
-
-let pp ppf t = Format.fprintf ppf "%s (%.3f MFlop)" t.app t.wapp
-
-let equal a b = a.app = b.app && a.wapp = b.wapp

@@ -18,5 +18,3 @@ val of_dgemm : Dgemm.t -> t
 
 val app : t -> string
 val wapp : t -> float
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

@@ -24,9 +24,3 @@ let harmonic_expected_wapp t =
   1.0 /. inv
 
 let draw t rng = Adept_util.Rng.pick_weighted rng t.jobs
-
-let pp ppf t =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " + ")
-    (fun ppf (j, p) -> Format.fprintf ppf "%.0f%% %a" (p *. 100.0) Job.pp j)
-    ppf (jobs t)

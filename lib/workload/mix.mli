@@ -31,5 +31,3 @@ val harmonic_expected_wapp : t -> float
 
 val draw : t -> Adept_util.Rng.t -> Job.t
 (** Sample a job proportionally to weight. *)
-
-val pp : Format.formatter -> t -> unit

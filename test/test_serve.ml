@@ -12,6 +12,7 @@ module Shard = Adept_serve.Shard
 module Cache = Adept_serve.Cache
 module Server = Adept_serve.Server
 module Client = Adept_serve.Client
+module Live = Adept_serve.Live
 
 (* ---------- JSON ---------- *)
 
@@ -293,6 +294,22 @@ let test_decode_bad_requests () =
   (match Proto.decode_request "{\"id\":8,\"method\":\"plan\",\"params\":{\"dgemm\":\"x\"}}" with
   | Proto.Bad (Some 8, Proto.Invalid_params _) -> ()
   | _ -> Alcotest.fail "mistyped field should be Invalid_params");
+  (* out-of-range numbers are params errors, not planner failures *)
+  List.iter
+    (fun (method_, params) ->
+      match
+        Proto.decode_request
+          (Printf.sprintf
+             "{\"id\":10,\"method\":%S,\"params\":{\"platform\":{\"synthetic\":{}},%s}}"
+             method_ params)
+      with
+      | Proto.Bad (Some 10, Proto.Invalid_params _) -> ()
+      | _ -> Alcotest.fail (method_ ^ " {" ^ params ^ "} should be Invalid_params"))
+    [
+      ("plan", "\"demand\":0"); ("plan", "\"demand\":-2.5");
+      ("plan", "\"demand\":1e999"); ("replan", "\"demand\":0,\"failed\":[1]");
+      ("observe", "\"clients\":0"); ("observe", "\"demand\":0");
+    ];
   match Proto.decode_request "{\"id\":9,\"method\":\"replan\",\"params\":{\"platform\":{\"synthetic\":{}}}}" with
   | Proto.Bad (Some 9, Proto.Invalid_params _) -> ()
   | _ -> Alcotest.fail "replan without failed list should be Invalid_params"
@@ -711,15 +728,15 @@ let run_as_server_child path =
     Option.map
       (fun _ ->
         {
-          (Server.default_obs ()) with
-          Server.scrape_interval = 0.05;
+          (Live.default ()) with
+          Live.scrape_interval = 0.05;
           trace_slowest = 8;
           access_log = Sys.getenv_opt server_access_var;
           prom_path = Sys.getenv_opt server_prom_var;
           journal_dir = Sys.getenv_opt server_journal_var;
           otlp =
             Option.map
-              (fun s -> Server.Otlp_file s)
+              (fun s -> Live.Otlp_file s)
               (Sys.getenv_opt server_otlp_var);
         })
       (Sys.getenv_opt server_obs_var)
@@ -1052,6 +1069,21 @@ let test_trace_dump_requires_obs () =
       | Ok (Proto.Error (Proto.Invalid_params _)) -> ()
       | Ok _ -> Alcotest.fail "trace dump on an untraced server must error"
       | Error e -> Alcotest.fail e);
+      (* an out-of-range demand is a typed params error on the wire *)
+      (match
+         collect_raw_replies addr
+           [
+             "{\"id\":3,\"method\":\"plan\",\"params\":{\"platform\":\
+              {\"synthetic\":{}},\"demand\":0}}";
+           ]
+       with
+      | [ raw ] -> (
+          match Proto.decode_reply raw with
+          | Ok { Proto.reply_id = 3; response = Proto.Error (Proto.Invalid_params m) }
+            ->
+              Alcotest.(check bool) "names the field" true (contains m "demand")
+          | _ -> Alcotest.fail ("expected invalid_params, got " ^ raw))
+      | _ -> Alcotest.fail "expected one reply");
       (* the error is typed, not fatal: the connection still serves *)
       (match Client.call c Proto.Stats with
       | Ok (Proto.Stats_ok s) ->
@@ -1178,12 +1210,21 @@ let test_access_log () =
           ignore (Client.call c plan_syn8);
           ignore (Client.call c plan_syn8);
           ignore (Client.call c Proto.Stats);
+          (* a worker-side failure: the reaped error reply is logged too *)
+          (match
+             Client.call c
+               (Proto.Plan
+                  { spec = syn8; dgemm = 310; demand = None;
+                    strategy = "nonsense"; use_cache = true })
+           with
+          | Ok (Proto.Error (Proto.Plan_failed _)) -> ()
+          | _ -> Alcotest.fail "expected a plan failure");
           Client.close c);
       let lines =
         read_all log |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "")
       in
-      Alcotest.(check int) "one line per request" 3 (List.length lines);
+      Alcotest.(check int) "one line per request" 4 (List.length lines);
       let objs =
         List.map
           (fun l ->
@@ -1195,10 +1236,12 @@ let test_access_log () =
       let str o k = Option.bind (List.assoc_opt k o) Json.to_string_v in
       let methods = List.filter_map (fun o -> str o "method") objs in
       Alcotest.(check (list string)) "methods in order"
-        [ "plan"; "plan"; "stats" ] methods;
+        [ "plan"; "plan"; "stats"; "plan" ] methods;
+      Alcotest.(check (list (option string))) "status column"
+        [ Some "ok"; Some "ok"; Some "ok"; Some "error" ]
+        (List.map (fun o -> str o "status") objs);
       List.iter
         (fun o ->
-          Alcotest.(check bool) "status ok" true (str o "status" = Some "ok");
           Alcotest.(check bool) "trace id present" true
             (match List.assoc_opt "trace" o with
             | Some (Json.Int _) -> true
@@ -1208,9 +1251,9 @@ let test_access_log () =
             | Some d -> d >= 0.0
             | None -> false))
         objs;
-      (* cold plan misses, repeat hits *)
+      (* cold plan misses, repeat hits, the failed plan missed *)
       Alcotest.(check (list (option string))) "cache column"
-        [ Some "miss"; Some "hit"; None ]
+        [ Some "miss"; Some "hit"; None; Some "miss" ]
         (List.map (fun o -> str o "cache") objs))
 
 let test_prom_snapshot () =
@@ -1229,9 +1272,42 @@ let test_prom_snapshot () =
           ignore (Client.call c plan_syn8);
           ignore (Client.call c plan_syn8);
           ignore (Client.call c Proto.Stats);
+          (* scrapes rewrite the file while serving, not only at drain *)
+          let rec scraped n =
+            contains (read_all prom) "# HELP adept_serve_requests_total "
+            || (n > 0 && (Unix.sleepf 0.05; scraped (n - 1)))
+          in
+          Alcotest.(check bool) "mid-run scrape file" true (scraped 100);
           Client.close c);
       (* teardown rewrites the snapshot unconditionally *)
       let text = read_all prom in
+      (* every adept_serve_* / adept_runtime_* family carries its
+         Semconv HELP line, whichever module registered it *)
+      let families =
+        String.split_on_char '\n' text
+        |> List.filter_map (fun line ->
+               let name =
+                 List.hd (String.split_on_char ' ' line)
+                 |> String.split_on_char '{' |> List.hd
+               in
+               let has p = String.starts_with ~prefix:p name in
+               if has "adept_serve_" || has "adept_runtime_" then
+                 Some
+                   (List.fold_left
+                      (fun n suffix ->
+                        if String.ends_with ~suffix n then
+                          String.sub n 0 (String.length n - String.length suffix)
+                        else n)
+                      name [ "_bucket"; "_sum"; "_count" ])
+               else None)
+        |> List.sort_uniq String.compare
+      in
+      Alcotest.(check bool) "families exported" true (List.length families > 10);
+      List.iter
+        (fun family ->
+          Alcotest.(check bool) ("HELP for family " ^ family) true
+            (contains text ("# HELP " ^ family ^ " ")))
+        families;
       List.iter
         (fun metric ->
           Alcotest.(check bool) ("HELP for " ^ metric) true
@@ -1242,6 +1318,8 @@ let test_prom_snapshot () =
           "adept_serve_cache_hit_ratio"; "adept_serve_inflight_requests";
           "adept_serve_traces_sampled_total"; "adept_serve_scrapes_total";
           "adept_runtime_gc_pause_seconds"; "adept_runtime_events_total";
+          "adept_runtime_domain_busy_ratio"; "adept_serve_journal_records_total";
+          "adept_serve_otlp_exports_total";
         ])
 
 let test_address_parsing () =
@@ -1434,7 +1512,7 @@ let test_runtime_metrics () =
    recovery, while the healthy rules stay silent throughout.  Every
    input is a fixed float, so the exported timeline is golden. *)
 let alert_timeline () =
-  let rules = Server.default_rules () in
+  let rules = Live.default_rules () in
   let ts =
     Obs.Timeseries.create ~retention:300.0
       (List.concat_map Obs.Rule.selectors rules)
@@ -1930,6 +2008,7 @@ let test_replay_matches_live_server () =
   with_temp_dir (fun dir ->
       let journal_dir = Filename.concat dir "journal" in
       let otlp = Filename.concat dir "otlp.json" in
+      let access = Filename.concat dir "access.jsonl" in
       let live_chrome = ref "" and live_otlp = ref "" in
       with_server
         ~extra_env:
@@ -1937,6 +2016,7 @@ let test_replay_matches_live_server () =
             server_obs_var ^ "=1";
             server_journal_var ^ "=" ^ journal_dir;
             server_otlp_var ^ "=" ^ otlp;
+            server_access_var ^ "=" ^ access;
           ]
         (fun addr ->
           let c =
@@ -1982,10 +2062,56 @@ let test_replay_matches_live_server () =
       Alcotest.(check string)
         "replayed chrome trace is byte-identical to the live dump"
         !live_chrome at_dump.Obs.Replay.rp_chrome;
-      (* the live OTLP dump's spans carry the same retained trace ids *)
-      (match Json.of_string !live_otlp with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail ("live OTLP dump is not JSON: " ^ e));
+      (* the live OTLP dump is well formed: in each trace every non-root
+         span's parent resolves, and each trace id is in the access log *)
+      let doc =
+        match Json.of_string !live_otlp with
+        | Ok d -> d
+        | Error e -> Alcotest.fail ("live OTLP dump is not JSON: " ^ e)
+      in
+      let list k j =
+        Option.value ~default:[] (Option.bind (Json.member k j) Json.to_list)
+      and str k j = Option.bind (Json.member k j) Json.to_string_v in
+      let spans =
+        list "resourceSpans" doc
+        |> List.concat_map (list "scopeSpans")
+        |> List.concat_map (list "spans")
+      in
+      Alcotest.(check bool) "OTLP dump has spans" true (spans <> []);
+      let ids k = List.sort_uniq compare (List.filter_map (str k) spans) in
+      List.iter
+        (fun tid ->
+          Alcotest.(check int) "trace id is 32 hex chars" 32 (String.length tid);
+          let in_trace = List.filter (fun s -> str "traceId" s = Some tid) spans in
+          let span_ids = List.filter_map (str "spanId") in_trace in
+          Alcotest.(check bool) ("trace " ^ tid ^ " has a root") true
+            (List.exists (fun s -> str "parentSpanId" s = None) in_trace);
+          List.iter
+            (fun s ->
+              Option.iter
+                (fun p ->
+                  Alcotest.(check bool) ("parent " ^ p ^ " resolves") true
+                    (List.mem p span_ids))
+                (str "parentSpanId" s))
+            in_trace)
+        (ids "traceId");
+      List.iter
+        (fun sid ->
+          Alcotest.(check int) "span id is 16 hex chars" 16 (String.length sid))
+        (ids "spanId");
+      let logged =
+        read_all access |> String.split_on_char '\n'
+        |> List.filter_map (fun l ->
+               match Json.of_string l with
+               | Ok o -> Option.bind (Json.member "trace" o) Json.to_int
+               | Error _ -> None)
+        |> List.map Obs.Otlp.trace_id_hex
+      in
+      List.iter
+        (fun tid ->
+          Alcotest.(check bool) ("trace " ^ tid ^ " is in the access log") true
+            (List.mem tid logged))
+        (ids "traceId");
       Alcotest.(check bool) "OTLP dump carries resource attributes" true
         (contains !live_otlp "\"adept-serve\"");
       (* the scrape-cadence OTLP file was written (teardown forces one) *)
